@@ -72,6 +72,14 @@ def _vector(x, path, n):
     return [float(v) for v in x]
 
 
+def _sphere(obj, path):
+    center = tuple(_vector(obj["center"], path + ".center", 3))
+    try:
+        return Sphere(center=center, radius=float(obj["radius"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 class RunConfig:
     """Validated run configuration."""
 
@@ -153,16 +161,15 @@ class RunConfig:
             kind = g["type"]
             if kind == "sphere":
                 _check_keys(g, path, required=("type", "center", "radius", "inside", "outside"))
-                shape = Sphere(
-                    center=tuple(_vector(g["center"], path + ".center", 3)),
-                    radius=float(g["radius"]),
-                )
+                shape = _sphere(g, path)
             elif kind == "plane":
                 _check_keys(g, path, required=("type", "point", "normal", "inside", "outside"))
-                shape = Plane(
-                    point=tuple(_vector(g["point"], path + ".point", 3)),
-                    normal=tuple(_vector(g["normal"], path + ".normal", 3)),
-                )
+                point = tuple(_vector(g["point"], path + ".point", 3))
+                normal = tuple(_vector(g["normal"], path + ".normal", 3))
+                try:
+                    shape = Plane(point=point, normal=normal)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: {exc}") from None
             elif kind == "sphere_union":
                 _check_keys(g, path, required=("type", "spheres", "inside", "outside"))
                 _require(
@@ -174,12 +181,7 @@ class RunConfig:
                 for j, sp in enumerate(g["spheres"]):
                     sp_path = f"{path}.spheres[{j}]"
                     _check_keys(sp, sp_path, required=("center", "radius"))
-                    members.append(
-                        Sphere(
-                            center=tuple(_vector(sp["center"], sp_path + ".center", 3)),
-                            radius=float(sp["radius"]),
-                        )
-                    )
+                    members.append(_sphere(sp, sp_path))
                 shape = SphereUnion(spheres=tuple(members))
             else:
                 raise ConfigError(f"{path}.type: unknown primitive '{kind}'")

@@ -18,8 +18,9 @@ internal scaling factors.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
-from .mesh import DofLayout, ElementTopology, Grid, corner_fields, tet_vertices
+from .mesh import DofLayout, ElementTopology, Grid, tet_vertices
 
 SQRT2 = np.sqrt(2.0)
 
@@ -308,12 +309,19 @@ def assemble_enriched(verts, levels, stiff_plus, stiff_minus, scale) -> ElementM
 class ElementCaches:
     """Per-element data of one discretized cell.
 
-    Uncut single-phase elements share one reference matrix per (tet type,
-    phase); cut elements carry individual 24x24 matrices, multi-interface
-    fallback elements individual 12x12 ones.  The residual pass applies the
-    reference matrices to every element and corrects the special ones, so
-    reference matrices are also recorded for the special elements' base
-    phase assignment (`ptype`).
+    Uncut single-phase ("regular") elements share the strain-displacement
+    matrix of their tet type and the stiffness of their phase, `ptype`.
+    Cut elements carry individual 24x24 matrices, multi-interface fallback
+    elements individual 12x12 ones; together they are the "special"
+    elements, and `ptype` is -1 there, so the regular pass skips them.
+
+    The special elements' matrices are also summed once into one operator
+    on the flat dof vector (grid dofs node-major, then enriched dofs):
+    `special_dofs` lists the sorted dofs they touch, `special_k` is the
+    summed stiffness over those dofs (block-sparse, 3x3 node blocks),
+    `special_load` the summed load map sum_e L_e^T Bfac_e, whose
+    transpose maps the touched dofs to volume-integrated stress, and
+    `special_cv` the summed volume-integrated stiffness.
     """
 
     grid: Grid
@@ -323,16 +331,13 @@ class ElementCaches:
     grads: np.ndarray  # (6, 4, 3) per tet type
     b_mats: np.ndarray  # (6, 6, 12)
     tet_volume: float
-    ref_a: np.ndarray  # (6, n_phase, 12, 12)
-    ref_bfac: np.ndarray  # (6, n_phase, 12, 6)
-    ptype: np.ndarray  # (6, N1, N2, N3) int8
+    ptype: np.ndarray  # (6, N1, N2, N3) int8, -1 on special elements
     total_cv: np.ndarray  # (6, 6): sum of V_e <C>_e over all elements
     # enriched (single-interface cut) elements
     cut_ttype: np.ndarray
     cut_voxel: np.ndarray  # (n_cut, 3) lattice coords
     cut_nodes: np.ndarray  # (n_cut, 4) flat node ids
     cut_enr: np.ndarray  # (n_cut, 4) enriched slots
-    cut_pbase: np.ndarray
     cut_region: np.ndarray
     cut_levels: np.ndarray  # (n_cut, 4) nodal values of the cutting interface
     cut_scale: np.ndarray  # (n_cut, 4, 3) applied internal scaling
@@ -343,10 +348,14 @@ class ElementCaches:
     mi_ttype: np.ndarray
     mi_voxel: np.ndarray
     mi_nodes: np.ndarray
-    mi_pbase: np.ndarray
     mi_a: np.ndarray
     mi_bfac: np.ndarray
     mi_cv: np.ndarray
+    # the special elements summed into one operator
+    special_dofs: np.ndarray  # (n_touched,) sorted flat dof indices
+    special_k: scipy.sparse.bsr_matrix  # (n_touched, n_touched)
+    special_load: np.ndarray  # (n_touched, 6)
+    special_cv: np.ndarray  # (6, 6)
     # internal scaling diagnostics
     d0: np.ndarray  # (n_x, 3)
     scale: np.ndarray  # (n_x, 3); zero marks a dropped enriched dof
@@ -384,8 +393,11 @@ class ElementCaches:
 
 
 def _node_ids(voxels, offsets, n):
-    """Flat node ids (m, 4) of the 4 corners of tets at `voxels` (m, 3)."""
-    idx = (voxels[:, None, :] + offsets[None, :, :]) % np.asarray(n)
+    """Flat node ids (m, 4) of the 4 corners of tets at `voxels` (m, 3).
+
+    `offsets` (4, 3) or, per tet, (m, 4, 3) holds the corner offsets.
+    """
+    idx = (voxels[:, None, :] + offsets) % np.asarray(n)
     return np.ravel_multi_index(
         (idx[..., 0], idx[..., 1], idx[..., 2]), n
     )
@@ -445,7 +457,84 @@ def _group_geometry(levels, grads, template):
     return ratio, lam_q, gx, sides
 
 
-_CHUNK = 2048
+def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet):
+    """Unscaled matrices of a chunk of cut elements of one (type, pattern).
+
+    `c_plus`/`c_minus` (m, 6, 6) are the stiffnesses on either side.
+    Returns a (m, 24, 24), bfac (m, 24, 6), cv (m, 6, 6), the scaling
+    integrals (m, 4, 3) of `d0_element`, the quadrature weights (m, S, 4)
+    and the parent barycentric coordinates of the points (m, S, 4, 4).
+    """
+    m, n_sub = len(levels), len(template)
+    ratio, lam_q, gx, sides = _group_geometry(levels, grads, template)
+    w = vol_tet * ratio[..., None] / 4.0 * np.ones(4)
+    gsq = gx**2
+    d0 = 0.5 * np.einsum("msq,msqj->mj", w, gsq.sum(axis=-1))[..., None] + 0.5 * (
+        np.einsum("msq,msqja->mja", w, gsq)
+    )
+    cq = np.where(sides[None, :, None, None] > 0, c_plus[:, None], c_minus[:, None])
+    b = np.empty((m, n_sub, 4, 6, 24))
+    b[..., :12] = b_mat
+    b[..., 12:] = (
+        sym_grad_cols(gx).transpose(0, 1, 2, 4, 3, 5).reshape(m, n_sub, 4, 6, 12)
+    )
+    wc = w[..., None, None] * cq[:, :, None]
+    a = np.einsum("msqci,msqcd,msqdj->mij", b, wc, b, optimize=True)
+    bfac = np.einsum("msqci,msqcd->mid", b, wc, optimize=True)
+    cv = np.einsum("msq,mscd->mcd", w, cq, optimize=True)
+    return a, bfac, cv, d0, w, lam_q
+
+
+_CHUNK = 512
+
+
+def _assemble_special(parts):
+    """Sum the special elements' matrices into one operator.
+
+    `parts` holds (nodes (m, k), a (m, 3k, 3k), bfac (m, 3k, 6)) per kind
+    of special element; node ids run over [grid nodes, enriched slots].
+    Node blocks are summed by key with `np.bincount`, which needs far less
+    memory than a COO matrix of every element entry.  Returns the sorted
+    dofs touched, the block-sparse stiffness over them and the load map.
+    """
+    touched = np.unique(np.concatenate([nodes.ravel() for nodes, _, _ in parts]))
+    nt = len(touched)
+    local = [np.searchsorted(touched, nodes) for nodes, _, _ in parts]
+
+    # distinct block keys row * nt + col, and the index of each element
+    # block among them (np.unique would hold several more arrays this size)
+    keys = np.concatenate([(loc[:, :, None] * nt + loc[:, None, :]).ravel() for loc in local])
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.concatenate([keys[:1] == keys[:1], keys[1:] != keys[:-1]])
+    keys = keys[first]
+    rank = np.cumsum(first)
+    rank -= 1
+    inv = np.empty_like(rank)
+    inv[order] = rank
+    del order, rank  # freed before the blocks are allocated
+
+    blocks = np.empty((len(keys), 3, 3))
+    entry = np.empty(len(inv))
+    for p, q in np.ndindex(3, 3):
+        lo = 0
+        for loc, (_, a, _) in zip(local, parts):
+            m, k = loc.shape
+            a = a.reshape(m, k, 3, k, 3)
+            entry[lo : lo + m * k * k].reshape(m, k, k)[:] = a[:, :, p, :, q]
+            lo += m * k * k
+        blocks[:, p, q] = np.bincount(inv, entry, minlength=len(keys))
+    del inv, entry
+    rows, cols = np.divmod(keys, nt)
+    indptr = np.searchsorted(rows, np.arange(nt + 1))
+    k_mat = scipy.sparse.bsr_matrix((blocks, cols, indptr), shape=(3 * nt, 3 * nt))
+
+    slots = np.concatenate([(3 * loc[..., None] + np.arange(3)).ravel() for loc in local])
+    load = np.empty((3 * nt, 6))
+    for d in range(6):
+        entry = np.concatenate([bfac[..., d].ravel() for _, _, bfac in parts])
+        load[:, d] = np.bincount(slots, entry, minlength=3 * nt)
+    return (3 * touched[:, None] + np.arange(3)).ravel(), k_mat, load
 
 
 def build_caches(
@@ -460,13 +549,17 @@ def build_caches(
 ) -> ElementCaches:
     """Assemble all per-element matrices of the cell.
 
-    `mode` "p1" disables enrichment entirely: every element is assembled as
-    an uncut single-phase element with the phase sampled at its centroid.
+    The cut and fallback ("special") elements are also summed into one
+    operator, see `ElementCaches`.  `mode` "p1" disables enrichment
+    entirely: every element is assembled as an uncut single-phase element
+    with the base phase of its voxel (from the level-set signs at the
+    voxel's (0,0,0) corner).
     """
     stiffness = np.asarray(stiffness, dtype=float)
     n_phase = len(stiffness)
     nshape = tuple(grid.n)
     vol_tet = float(np.prod(grid.h)) / 6.0
+    h = np.asarray(grid.h)
 
     grads = np.empty((6, 4, 3))
     b_mats = np.empty((6, 6, 12))
@@ -475,13 +568,6 @@ def build_caches(
         verts_t[t] = tet_vertices(topo, grid, t)
         grads[t] = p1_grads(verts_t[t])
         b_mats[t] = b_matrix(grads[t])
-
-    ref_a = np.empty((6, n_phase, 12, 12))
-    ref_bfac = np.empty((6, n_phase, 12, 6))
-    for t in range(6):
-        for p in range(n_phase):
-            ref_a[t, p] = vol_tet * b_mats[t].T @ stiffness[p] @ b_mats[t]
-            ref_bfac[t, p] = vol_tet * b_mats[t].T @ stiffness[p]
 
     nodal = np.asarray(nodal)
     if nodal.ndim == 3:
@@ -503,77 +589,30 @@ def build_caches(
     else:
         ptype[:] = assembly.background
 
-    counts = np.zeros(n_phase, dtype=np.int64)
-    for p in range(n_phase):
-        counts[p] = int((ptype == p).sum())
-    total_cv = vol_tet * np.einsum("p,pcd->cd", counts.astype(float), stiffness)
+    # ---- collect cut and fallback elements in canonical (t, voxel) order
+    # ("p1" enriches nothing, so it has no special elements)
+    region_map = layout.cut_region
+    if mode != "xfem":
+        region_map = np.full_like(region_map, -1)
+    tt, vi, vj, vk = np.nonzero(region_map >= 0)
+    cut_ttype, cut_voxel = tt.astype(np.int8), np.stack([vi, vj, vk], axis=1)
+    cut_region = region_map[tt, vi, vj, vk]
+    tt, vi, vj, vk = np.nonzero(region_map == -2)
+    mi_ttype, mi_voxel = tt.astype(np.int8), np.stack([vi, vj, vk], axis=1)
+    n_cut = len(cut_ttype)
+    n_mi = len(mi_ttype)
 
-    empty = dict(
-        cut_ttype=np.empty(0, dtype=np.int8),
-        cut_voxel=np.empty((0, 3), dtype=np.int64),
+    caches = dict(
+        cut_ttype=cut_ttype,
+        cut_voxel=cut_voxel,
+        cut_region=cut_region,
         cut_nodes=np.empty((0, 4), dtype=np.int64),
         cut_enr=np.empty((0, 4), dtype=np.int64),
-        cut_pbase=np.empty(0, dtype=np.int8),
-        cut_region=np.empty(0, dtype=np.int8),
         cut_levels=np.empty((0, 4)),
         cut_scale=np.empty((0, 4, 3)),
         cut_a=np.empty((0, 24, 24)),
         cut_bfac=np.empty((0, 24, 6)),
         cut_cv=np.empty((0, 6, 6)),
-        mi_ttype=np.empty(0, dtype=np.int8),
-        mi_voxel=np.empty((0, 3), dtype=np.int64),
-        mi_nodes=np.empty((0, 4), dtype=np.int64),
-        mi_pbase=np.empty(0, dtype=np.int8),
-        mi_a=np.empty((0, 12, 12)),
-        mi_bfac=np.empty((0, 12, 6)),
-        mi_cv=np.empty((0, 6, 6)),
-    )
-
-    if mode == "p1":
-        return ElementCaches(
-            grid=grid,
-            topo=topo,
-            mode=mode,
-            stiffness=stiffness,
-            grads=grads,
-            b_mats=b_mats,
-            tet_volume=vol_tet,
-            ref_a=ref_a,
-            ref_bfac=ref_bfac,
-            ptype=ptype,
-            total_cv=total_cv,
-            d0=np.empty((0, 3)),
-            scale=np.empty((0, 3)),
-            n_dropped_dofs=0,
-            n_conflict_nodes=0,
-            **empty,
-        )
-
-    # ---- collect cut and fallback elements in canonical (t, voxel) order
-    cut_t, cut_vox, cut_reg = [], [], []
-    mi_t, mi_vox = [], []
-    for t in range(6):
-        region = layout.cut_region[t]
-        vi, vj, vk = np.nonzero(region >= 0)
-        cut_t.append(np.full(len(vi), t, dtype=np.int8))
-        cut_vox.append(np.stack([vi, vj, vk], axis=1))
-        cut_reg.append(region[vi, vj, vk])
-        mi_i, mi_j, mi_k = np.nonzero(region == -2)
-        mi_t.append(np.full(len(mi_i), t, dtype=np.int8))
-        mi_vox.append(np.stack([mi_i, mi_j, mi_k], axis=1))
-    cut_ttype = np.concatenate(cut_t)
-    cut_voxel = np.concatenate(cut_vox).astype(np.int64)
-    cut_region = np.concatenate(cut_reg).astype(np.int8)
-    mi_ttype = np.concatenate(mi_t)
-    mi_voxel = np.concatenate(mi_vox).astype(np.int64)
-    n_cut = len(cut_ttype)
-    n_mi = len(mi_ttype)
-
-    caches = dict(empty)
-    caches.update(
-        cut_ttype=cut_ttype,
-        cut_voxel=cut_voxel,
-        cut_region=cut_region,
         mi_ttype=mi_ttype,
         mi_voxel=mi_voxel,
     )
@@ -582,16 +621,12 @@ def build_caches(
     scale = np.zeros((layout.n_x, 3))
     n_conflict = 0
     n_dropped = 0
+    qp_store = qw_store = None
 
     if n_cut:
-        cut_nodes = np.empty((n_cut, 4), dtype=np.int64)
-        for t in range(6):
-            sel = cut_ttype == t
-            if sel.any():
-                cut_nodes[sel] = _node_ids(cut_voxel[sel], topo.offsets[t], nshape)
+        cut_nodes = _node_ids(cut_voxel, topo.offsets[cut_ttype], nshape)
         enr_flat = layout.enr_index.ravel()
         cut_enr = enr_flat[cut_nodes]
-        cut_pbase = ptype[cut_ttype, cut_voxel[:, 0], cut_voxel[:, 1], cut_voxel[:, 2]]
         flat_nodal = nodal.reshape(nodal.shape[0], -1)
         cut_levels = flat_nodal[cut_region[:, None], cut_nodes]
 
@@ -615,116 +650,93 @@ def build_caches(
         cut_a = np.zeros((n_cut, 24, 24))
         cut_bfac = np.zeros((n_cut, 24, 6))
         cut_cv = np.zeros((n_cut, 6, 6))
-        qp_store = np.zeros((n_cut, 24, 3)) if store_quadrature else None
-        qw_store = np.zeros((n_cut, 24)) if store_quadrature else None
+        if store_quadrature:
+            qp_store = np.zeros((n_cut, 24, 3))
+            qw_store = np.zeros((n_cut, 24))
 
-        groups = []
+        # one pass: the unscaled element matrices and the internal scaling
+        # integrals, which need the same enriched gradients
         for t in range(6):
             for code in range(1, 15):
                 sel = np.nonzero((cut_ttype == t) & (pattern == code))[0]
-                if len(sel):
-                    groups.append((t, code, sel))
-
-        # pass 1: accumulate the internal scaling integrals
-        for t, code, sel in groups:
-            template = CUT_TEMPLATES[code]
-            ratio, lam_q, gx, _ = _group_geometry(cut_levels[sel], grads[t], template)
-            w = vol_tet * ratio[..., None] / 4.0 * np.ones(4)
-            gsq = (gx**2).sum(axis=-1)
-            contrib = 0.5 * np.einsum("msq,msqj->mj", w, gsq)[..., None] + 0.5 * (
-                np.einsum("msq,msqja->mja", w, gx**2)
-            )
-            np.add.at(d0, cut_enr[sel], contrib)
+                for lo in range(0, len(sel), _CHUNK):
+                    ch = sel[lo : lo + _CHUNK]
+                    cut_a[ch], cut_bfac[ch], cut_cv[ch], d0_e, w, lam_q = _cut_matrices(
+                        cut_levels[ch],
+                        grads[t],
+                        b_mats[t],
+                        CUT_TEMPLATES[code],
+                        stiffness[phase_plus[ch]],
+                        stiffness[phase_minus[ch]],
+                        vol_tet,
+                    )
+                    np.add.at(d0, cut_enr[ch], d0_e)
+                    if store_quadrature:
+                        pos = np.einsum("msqb,bv->msqv", lam_q, verts_t[t])
+                        pos = pos + cut_voxel[ch, None, None, :] * h
+                        qp_store[ch, : w[0].size] = pos.reshape(len(ch), -1, 3)
+                        qw_store[ch, : w[0].size] = w.reshape(len(ch), -1)
 
         alive = d0 >= SCALE_DROP_THRESHOLD
         scale[alive] = 1.0 / np.sqrt(d0[alive])
         scale[conflict] = 0.0
         n_dropped = int((~alive).sum() + (alive & conflict[:, None]).sum())
 
-        # pass 2: assemble the enriched element matrices
-        for t, code, sel in groups:
-            template = CUT_TEMPLATES[code]
-            for lo in range(0, len(sel), _CHUNK):
-                ch = sel[lo : lo + _CHUNK]
-                m = len(ch)
-                ratio, lam_q, gx, sides = _group_geometry(
-                    cut_levels[ch], grads[t], template
-                )
-                n_sub = len(template)
-                w = vol_tet * ratio[..., None] / 4.0 * np.ones(4)
-                pidx = np.where(
-                    sides[None, :] > 0, phase_plus[ch, None], phase_minus[ch, None]
-                )
-                cq = stiffness[pidx]  # (m, S, 6, 6)
-                sc = scale[cut_enr[ch]]  # (m, 4, 3)
-                cols = sym_grad_cols(gx) * sc[:, None, None, :, None, :]
-                bx = cols.transpose(0, 1, 2, 4, 3, 5).reshape(m, n_sub, 4, 6, 12)
-                b = np.empty((m, n_sub, 4, 6, 24))
-                b[..., :12] = b_mats[t]
-                b[..., 12:] = bx
-                wc = w[..., None, None] * cq[:, :, None]
-                cut_a[ch] = np.einsum(
-                    "msqci,msqcd,msqdj->mij", b, wc, b, optimize=True
-                )
-                cut_bfac[ch] = np.einsum("msqci,msqcd->mid", b, wc, optimize=True)
-                cut_cv[ch] = np.einsum("msq,mscd->mcd", w, cq, optimize=True)
-                if store_quadrature:
-                    pos = np.einsum("msqb,bv->msqv", lam_q, verts_t[t])
-                    pos = pos + (cut_voxel[ch, None, None, :] * np.asarray(grid.h))
-                    qp_store[ch, : 4 * n_sub] = pos.reshape(m, -1, 3)
-                    qw_store[ch, : 4 * n_sub] = w.reshape(m, -1)
+        # internal scaling of the enriched rows and columns
+        cut_scale = scale[cut_enr]
+        sc = cut_scale.reshape(n_cut, 12)
+        cut_a[:, 12:, :] *= sc[:, :, None]
+        cut_a[:, :, 12:] *= sc[:, None, :]
+        cut_bfac[:, 12:, :] *= sc[:, :, None]
 
         caches.update(
             cut_nodes=cut_nodes,
             cut_enr=cut_enr,
-            cut_pbase=cut_pbase,
             cut_levels=cut_levels,
-            cut_scale=scale[cut_enr],
+            cut_scale=cut_scale,
             cut_a=cut_a,
             cut_bfac=cut_bfac,
             cut_cv=cut_cv,
         )
-        ref_cv = vol_tet * stiffness
-        total_cv += cut_cv.sum(axis=0) - ref_cv[cut_pbase].sum(axis=0)
-    else:
-        qp_store = qw_store = None
 
     mi_qp = mi_qw = None
-    if n_mi:
-        mi_nodes = np.empty((n_mi, 4), dtype=np.int64)
-        for t in range(6):
-            sel = mi_ttype == t
-            if sel.any():
-                mi_nodes[sel] = _node_ids(mi_voxel[sel], topo.offsets[t], nshape)
-        mi_pbase = ptype[mi_ttype, mi_voxel[:, 0], mi_voxel[:, 1], mi_voxel[:, 2]]
-        mi_a = np.empty((n_mi, 12, 12))
-        mi_bfac = np.empty((n_mi, 12, 6))
-        mi_cv = np.empty((n_mi, 6, 6))
-        for t in range(6):
-            sel = np.nonzero(mi_ttype == t)[0]
-            if not len(sel):
-                continue
-            qpos = SH_BARY @ verts_t[t] + (
-                mi_voxel[sel, None, :] * np.asarray(grid.h)
-            )
-            ph = assembly.phase_at(qpos.reshape(-1, 3), grid.lengths).reshape(-1, 4)
-            cbar = stiffness[ph].mean(axis=1)
-            mi_a[sel] = vol_tet * np.einsum(
-                "ci,mcd,dj->mij", b_mats[t], cbar, b_mats[t]
-            )
-            mi_bfac[sel] = vol_tet * np.einsum("ci,mcd->mid", b_mats[t], cbar)
-            mi_cv[sel] = vol_tet * cbar
-            if store_quadrature:
-                if mi_qp is None:
-                    mi_qp = np.zeros((n_mi, 4, 3))
-                    mi_qw = np.zeros((n_mi, 4))
-                mi_qp[sel] = qpos
-                mi_qw[sel] = vol_tet / 4.0
-        caches.update(
-            mi_nodes=mi_nodes, mi_pbase=mi_pbase, mi_a=mi_a, mi_bfac=mi_bfac, mi_cv=mi_cv
-        )
-        ref_cv = vol_tet * stiffness
-        total_cv += mi_cv.sum(axis=0) - ref_cv[mi_pbase].sum(axis=0)
+    mi_nodes = _node_ids(mi_voxel, topo.offsets[mi_ttype], nshape)
+    mi_a = np.empty((n_mi, 12, 12))
+    mi_bfac = np.empty((n_mi, 12, 6))
+    mi_cv = np.empty((n_mi, 6, 6))
+    for t in range(6):
+        sel = np.nonzero(mi_ttype == t)[0]
+        if not len(sel):
+            continue
+        qpos = SH_BARY @ verts_t[t] + mi_voxel[sel, None, :] * h
+        ph = assembly.phase_at(qpos.reshape(-1, 3), grid.lengths).reshape(-1, 4)
+        cbar = stiffness[ph].mean(axis=1)
+        mi_a[sel] = vol_tet * np.einsum("ci,mcd,dj->mij", b_mats[t], cbar, b_mats[t])
+        mi_bfac[sel] = vol_tet * np.einsum("ci,mcd->mid", b_mats[t], cbar)
+        mi_cv[sel] = vol_tet * cbar
+        if store_quadrature:
+            if mi_qp is None:
+                mi_qp = np.zeros((n_mi, 4, 3))
+                mi_qw = np.zeros((n_mi, 4))
+            mi_qp[sel] = qpos
+            mi_qw[sel] = vol_tet / 4.0
+    caches.update(mi_nodes=mi_nodes, mi_a=mi_a, mi_bfac=mi_bfac, mi_cv=mi_cv)
+
+    # special elements leave the regular pass and form one summed operator
+    ptype[cut_ttype, cut_voxel[:, 0], cut_voxel[:, 1], cut_voxel[:, 2]] = -1
+    ptype[mi_ttype, mi_voxel[:, 0], mi_voxel[:, 1], mi_voxel[:, 2]] = -1
+    counts = np.array([(ptype == p).sum() for p in range(n_phase)], dtype=float)
+    special_cv = caches["cut_cv"].sum(axis=0) + caches["mi_cv"].sum(axis=0)
+    total_cv = vol_tet * np.einsum("p,pcd->cd", counts, stiffness) + special_cv
+    cut_dof_nodes = np.concatenate(
+        [caches["cut_nodes"], grid.n_nodes + caches["cut_enr"]], axis=1
+    )
+    special_dofs, special_k, special_load = _assemble_special(
+        [
+            (cut_dof_nodes, caches["cut_a"], caches["cut_bfac"]),
+            (caches["mi_nodes"], caches["mi_a"], caches["mi_bfac"]),
+        ]
+    )
 
     return ElementCaches(
         grid=grid,
@@ -734,10 +746,12 @@ def build_caches(
         grads=grads,
         b_mats=b_mats,
         tet_volume=vol_tet,
-        ref_a=ref_a,
-        ref_bfac=ref_bfac,
         ptype=ptype,
         total_cv=total_cv,
+        special_dofs=special_dofs,
+        special_k=special_k,
+        special_load=special_load,
+        special_cv=special_cv,
         d0=d0,
         scale=scale,
         n_dropped_dofs=n_dropped,

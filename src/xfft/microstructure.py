@@ -13,6 +13,8 @@ Periodicity: sphere distances use the minimum-image convention per axis
 cannot partition a periodic cell, so the plane level set is the centered
 triangle wave along the normal: the zero set consists of the requested
 plane and its conjugate half a period away, bounding a half-cell slab.
+That wave is periodic on the cell only for a normal along a coordinate
+axis, so other normals are rejected, as are spheres of radius <= 0.
 """
 
 from dataclasses import dataclass, field
@@ -32,10 +34,16 @@ class Plane:
     point: tuple
     normal: tuple
 
+    def __post_init__(self):
+        if np.count_nonzero(np.asarray(self.normal, dtype=float)) != 1:
+            raise ValueError(
+                f"plane normal must lie along a coordinate axis, got {self.normal}"
+            )
+
     def distance(self, x, lengths):
         n = np.asarray(self.normal, dtype=float)
         n = n / np.linalg.norm(n)
-        # period of the cell along the normal (exact for axis-aligned normals)
+        # period of the cell along the (axis-aligned) normal
         period = float(np.abs(n) @ np.asarray(lengths, dtype=float))
         s = (np.asarray(x, dtype=float) - np.asarray(self.point, dtype=float)) @ n
         # triangle wave: zero at the plane and at the conjugate plane period/2
@@ -50,6 +58,10 @@ class Sphere:
 
     center: tuple
     radius: float
+
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise ValueError(f"sphere radius must be positive, got {self.radius}")
 
     def distance(self, x, lengths):
         x = np.asarray(x, dtype=float)

@@ -1,11 +1,13 @@
 """Matrix-free residual evaluation and the iterative solution schemes.
 
-The global force residual is assembled element-wise: one vectorized pass
-applies the shared per-(tet type, phase) reference matrices to every
-element of the grid, then the cached matrices of the cut and fallback
-elements correct their contributions.  The same pass accumulates the
-volume-integrated stress, so each solver iteration costs one sweep over
-the elements plus one FFT preconditioner application.
+The global force residual is assembled in two parts.  One vectorized pass
+over the six tet types applies the shared strain-displacement matrix and
+the phase stiffness to every regular (uncut single-phase) element.  The
+cut and fallback ("special") elements were summed at build time into one
+block-sparse operator on the dofs they touch, so they add their forces
+with one sparse product on the flat dof vector.  The same sweep
+accumulates the volume-integrated stress, so each solver iteration costs
+one sweep plus one FFT preconditioner application.
 
 Sign convention: the residual is the gradient of the discrete energy,
 r(u) = sum_e L_e^T (A_e u_e + Bfac_e eps_bar), i.e. the internal force of
@@ -37,32 +39,39 @@ ZERO6 = np.zeros(6)
 SIGMA_NORM_FLOOR = 1e-300
 
 
-@dataclass
 class DofVector:
-    """Displacement-type vector: grid field plus enriched values."""
+    """Displacement-type vector: one flat array of all dofs.
 
-    grid: np.ndarray  # (N1, N2, N3, 3)
-    enr: np.ndarray  # (n_x, 3)
+    `data` holds the grid dofs (node-major, component-minor) followed by
+    the enriched dofs; `grid` (N1, N2, N3, 3) and `enr` (n_x, 3) are views
+    into it.
+    """
+
+    def __init__(self, data: np.ndarray, nshape):
+        self.data = data
+        n_grid = 3 * int(np.prod(nshape))
+        self.grid = data[:n_grid].reshape(tuple(nshape) + (3,))
+        self.enr = data[n_grid:].reshape(-1, 3)
 
     @classmethod
     def zeros(cls, layout: DofLayout):
-        return cls(
-            grid=np.zeros(tuple(layout.grid.n) + (3,)),
-            enr=np.zeros((layout.n_x, 3)),
-        )
+        return cls(np.zeros(layout.n_dofs), layout.grid.n)
+
+    def like(self, data: np.ndarray):
+        """A vector of the same layout holding `data`."""
+        return DofVector(data, self.grid.shape[:3])
 
     def copy(self):
-        return DofVector(self.grid.copy(), self.enr.copy())
+        return self.like(self.data.copy())
 
     def dot(self, other) -> float:
-        return float(np.vdot(self.grid, other.grid) + np.vdot(self.enr, other.enr))
+        return float(self.data @ other.data)
 
     def axpy(self, a: float, other):
-        self.grid += a * other.grid
-        self.enr += a * other.enr
+        self.data += a * other.data
 
     def scaled(self, a: float):
-        return DofVector(a * self.grid, a * self.enr)
+        return self.like(a * self.data)
 
 
 @dataclass
@@ -70,7 +79,6 @@ class SolverConfig:
     scheme: str = "lcg"
     tol: float = 1e-7
     maxit: int = 500
-    report_interval: int = 0
 
     def __post_init__(self):
         if self.scheme not in ("basic", "bb", "lcg", "ncg"):
@@ -106,17 +114,6 @@ class System:
         self.symbol = symbol
         self.stiffness = np.asarray(stiffness, dtype=float)
         self.c_minus, self.c_plus = stiffness_bounds(list(self.stiffness))
-        self._cut_groups = self._make_groups(caches.cut_ttype, caches.cut_pbase)
-        self._mi_groups = self._make_groups(caches.mi_ttype, caches.mi_pbase)
-
-    @staticmethod
-    def _make_groups(ttype, pbase):
-        groups = []
-        if len(ttype):
-            keys = ttype.astype(np.int64) * 256 + pbase
-            for key in np.unique(keys):
-                groups.append((int(key) // 256, int(key) % 256, np.nonzero(keys == key)[0]))
-        return groups
 
     def zeros(self) -> DofVector:
         return DofVector.zeros(self.layout)
@@ -135,7 +132,7 @@ class System:
             acc += np.roll(fe[..., 3 * l : 3 * l + 3], shift=(a, b, c), axis=(0, 1, 2))
 
     def _sweep(self, u: DofVector, eps_bar, want_force=True):
-        """One pass over all elements.
+        """One pass over the regular elements plus the special-element operator.
 
         Returns (force residual or None, volume-integrated stress (6,)).
         """
@@ -144,12 +141,12 @@ class System:
         nshape = tuple(self.grid.n)
         vol = c.tet_volume
         sig_total = np.zeros(6)
-        r = DofVector.zeros(self.layout) if want_force else None
+        r = self.zeros() if want_force else None
         for t in range(6):
             ue = self._gather(u.grid, t).reshape(-1, 12)
             eps = ue @ c.b_mats[t].T
             eps += eps_bar
-            sig = np.empty_like(eps)
+            sig = np.zeros_like(eps)  # stays zero on special elements (ptype -1)
             pt = c.ptype[t].ravel()
             for p in range(len(c.stiffness)):
                 rows = pt == p
@@ -160,41 +157,10 @@ class System:
                 fe = sig @ (vol * c.b_mats[t])
                 self._scatter(r.grid, t, fe.reshape(nshape + (12,)))
 
-        if c.n_cut:
-            uflat = u.grid.reshape(-1, 3)
-            ue24 = np.concatenate(
-                [uflat[c.cut_nodes], u.enr[c.cut_enr]], axis=1
-            ).reshape(-1, 24)
-            y = np.einsum("eij,ej->ei", c.cut_a, ue24)
-            y += c.cut_bfac @ eps_bar
-            sig_total += np.einsum("eid,ei->d", c.cut_bfac, ue24)
-            sig_total += c.cut_cv.sum(axis=0) @ eps_bar
-            for t, p, idx in self._cut_groups:
-                u12 = ue24[idx, :12]
-                y[idx, :12] -= u12 @ c.ref_a[t, p].T + c.ref_bfac[t, p] @ eps_bar
-                eps_sum = c.b_mats[t] @ u12.sum(axis=0) + len(idx) * eps_bar
-                sig_total -= vol * c.stiffness[p] @ eps_sum
-            if want_force:
-                np.add.at(
-                    r.grid.reshape(-1, 3), c.cut_nodes, y[:, :12].reshape(-1, 4, 3)
-                )
-                np.add.at(r.enr, c.cut_enr, y[:, 12:].reshape(-1, 4, 3))
-
-        if c.n_mi:
-            uflat = u.grid.reshape(-1, 3)
-            ue12 = uflat[c.mi_nodes].reshape(-1, 12)
-            y = np.einsum("eij,ej->ei", c.mi_a, ue12)
-            y += c.mi_bfac @ eps_bar
-            sig_total += np.einsum("eid,ei->d", c.mi_bfac, ue12)
-            sig_total += c.mi_cv.sum(axis=0) @ eps_bar
-            for t, p, idx in self._mi_groups:
-                u12 = ue12[idx]
-                y[idx] -= u12 @ c.ref_a[t, p].T + c.ref_bfac[t, p] @ eps_bar
-                eps_sum = c.b_mats[t] @ u12.sum(axis=0) + len(idx) * eps_bar
-                sig_total -= vol * c.stiffness[p] @ eps_sum
-            if want_force:
-                np.add.at(r.grid.reshape(-1, 3), c.mi_nodes, y.reshape(-1, 4, 3))
-
+        us = u.data[c.special_dofs]
+        sig_total += us @ c.special_load + c.special_cv @ eps_bar
+        if want_force:
+            r.data[c.special_dofs] += c.special_k @ us + c.special_load @ eps_bar
         return r, sig_total
 
     # -- operations --------------------------------------------------------
@@ -213,8 +179,10 @@ class System:
 
     def precondition(self, f: DofVector) -> DofVector:
         """Block preconditioner: Green inverse on the grid, identity on enriched."""
-        z_grid = greenop.apply_preconditioner(self.symbol, f.grid)
-        return DofVector(z_grid, f.enr.copy())
+        z = f.like(np.empty_like(f.data))
+        z.grid[:] = greenop.apply_preconditioner(self.symbol, f.grid)
+        z.enr[:] = f.enr
+        return z
 
     def res_norm(self, f: DofVector, z: DofVector | None = None) -> float:
         """Preconditioned residual norm sqrt(f^T P^-1 f)."""
@@ -291,8 +259,6 @@ class _Run:
         sig_norm = float(np.linalg.norm(sigma))
         rel = res / sig_norm if sig_norm > 0 else np.inf
         self.history.append((k, res, rel, time.perf_counter() - self.t0))
-        if self.config.report_interval and k % self.config.report_interval == 0:
-            print(f"  it {k:4d}  res {res:.6e}  res/|sigma| {rel:.6e}")
 
     def done(self, res_raw, sigma) -> bool:
         res = res_raw * self.inv_vol
@@ -352,7 +318,7 @@ def run_lcg(system: System, config: SolverConfig, eps_bar) -> SolveResult:
         z = system.precondition(f)
         res_sq_new = f.dot(z)
         beta = res_sq_new / res**2
-        d = DofVector(beta * d.grid - z.grid, beta * d.enr - z.enr)
+        d = d.like(beta * d.data - z.data)
         res = float(np.sqrt(max(res_sq_new, 0.0)))
         k += 1
     return run.finish(u, converged, k, sigma, res)
@@ -462,7 +428,7 @@ def run_ncg(system: System, config: SolverConfig, eps_bar, line_search: str = "e
         z = system.precondition(f)
         res_new = system.res_norm(f, z)
         beta = res_new**2 / res**2
-        d = DofVector(beta * d.grid - z.grid, beta * d.enr - z.enr)
+        d = d.like(beta * d.data - z.data)
         if f.dot(d) >= 0.0:
             d = z.scaled(-1.0)
         res = res_new

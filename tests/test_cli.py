@@ -73,6 +73,26 @@ def test_invalid_values_rejected():
         RunConfig(minimal_config(solver={"scheme": "gauss"}))
 
 
+def test_geometry_outside_model_rejected(tmp_path):
+    sphere = {"type": "sphere", "center": [8, 8, 8], "radius": -2.0, "inside": "m", "outside": "m"}
+    with pytest.raises(ConfigError, match=r"geometry\[0\]: sphere radius"):
+        RunConfig(minimal_config(geometry=[sphere]))
+    union = {
+        "type": "sphere_union",
+        "spheres": [{"center": [4, 8, 8], "radius": 2.0}, {"center": [9, 8, 8], "radius": 0}],
+        "inside": "m",
+        "outside": "m",
+    }
+    with pytest.raises(ConfigError, match=r"geometry\[0\]\.spheres\[1\]: sphere radius"):
+        RunConfig(minimal_config(geometry=[union]))
+    plane = {"type": "plane", "point": [0, 0, 0], "normal": [1, 1, 0], "inside": "m", "outside": "m"}
+    with pytest.raises(ConfigError, match=r"geometry\[0\]: plane normal"):
+        RunConfig(minimal_config(geometry=[plane]))
+    p = tmp_path / "oblique.json"
+    p.write_text(json.dumps(minimal_config(geometry=[plane])))
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
+
+
 def test_malformed_json_line_anchored(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{\n "grid": [,]\n}\n')

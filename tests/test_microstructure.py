@@ -184,3 +184,16 @@ def test_sphere_volume_by_subtet_cutting_converges_h2():
         errs.append(abs(vol - sphere_vol) / sphere_vol)
     rate = np.log2(errs[0] / errs[-1]) / 2.0
     assert 1.5 < rate < 2.8
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+def test_sphere_rejects_nonpositive_radius(radius):
+    with pytest.raises(ValueError, match="radius"):
+        Sphere((8.0, 8.0, 8.0), radius)
+
+
+@pytest.mark.parametrize("normal", [(1.0, 1.0, 0.0), (0.0, 0.6, 0.8), (0.0, 0.0, 0.0)])
+def test_plane_rejects_normal_off_axis(normal):
+    with pytest.raises(ValueError, match="axis"):
+        Plane(point=(0.0, 0.0, 0.0), normal=normal)
+    Plane(point=(0.0, 0.0, 0.0), normal=(0.0, -2.0, 0.0))  # any axis, any length

@@ -4,7 +4,7 @@ from helpers import dense_system, flatten_dofs, solve_dense, unflatten_dofs
 
 from xfft.homogenize import hashin_system, homogeneous_cell
 from xfft.mesh import Grid
-from xfft.microstructure import PhaseAssembly, Plane, Region
+from xfft.microstructure import PhaseAssembly, Plane, Region, Sphere
 from xfft.solver import (
     SolverConfig,
     build_system,
@@ -61,6 +61,47 @@ def test_residual_matches_dense_assembly(laminate_n4):
         r_dense = a @ flatten_dofs(u) + bmat @ eps
         scale = np.abs(r_dense).max()
         assert np.allclose(flatten_dofs(r), r_dense, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.fixture(scope="module")
+def two_spheres_n8():
+    # two close spheres in three phases: cut elements plus multi-interface
+    # fallback elements where single tets see both interfaces
+    assembly = PhaseAssembly(
+        [
+            Region(Sphere((6.0, 8.0, 8.0), 2.2), 1, 0),
+            Region(Sphere((10.6, 8.0, 8.0), 2.2), 2, 0),
+        ],
+        0,
+    )
+    mats = [MaterialIso(1.0, 0.3), MaterialIso(10.0, 0.3), MaterialIso(1.0 / 3.0, 0.2)]
+    system = build_system(assembly, Grid((8, 8, 8), (16.0,) * 3), mats)
+    return system, assembly
+
+
+def test_cut_and_fallback_elements_match_dense_assembly(two_spheres_n8):
+    system, assembly = two_spheres_n8
+    assert system.caches.n_cut > 0 and system.caches.n_mi > 0
+    a, bmat = dense_system(system, assembly)
+    rng = np.random.default_rng(5)
+    vecs = []
+    for _ in range(2):
+        u = system.zeros()
+        u.grid[:] = rng.standard_normal(u.grid.shape)
+        u.enr[:] = rng.standard_normal(u.enr.shape)
+        eps = rng.standard_normal(6)
+        r_dense = a @ flatten_dofs(u) + bmat @ eps
+        scale = np.abs(r_dense).max()
+        r = system.residual(u, eps)
+        assert np.allclose(flatten_dofs(r), r_dense, rtol=1e-12, atol=1e-12 * scale)
+        sigma = system.average_stress(u, eps)
+        expect = (bmat.T @ flatten_dofs(u) + system.caches.total_cv @ eps) / system.grid.volume
+        assert np.allclose(sigma, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+        vecs.append(u)
+    v, w = vecs
+    vaw = v.dot(system.operator(w))
+    wav = w.dot(system.operator(v))
+    assert np.isclose(vaw, wav, rtol=1e-12)
 
 
 def test_res_norm_zero_and_enriched_passthrough(laminate_n4):
