@@ -303,6 +303,8 @@ def cmd_solve(cfg: RunConfig, out_dir):
         "converged": result.converged,
         "scheme": result.scheme,
         "residual": result.res_final,
+        "residual_verified": result.res_verified,
+        "cache_bytes": system.caches.nbytes,
         "wall_time": wall,
         "n_dofs": system.layout.n_dofs,
         "n_enriched_nodes": system.layout.n_x,

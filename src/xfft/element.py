@@ -313,15 +313,24 @@ class ElementCaches:
     matrix of their tet type and the stiffness of their phase, `ptype`.
     Cut elements carry individual 24x24 matrices, multi-interface fallback
     elements individual 12x12 ones; together they are the "special"
-    elements, and `ptype` is -1 there, so the regular pass skips them.
+    elements, and `ptype` is -1 there.
 
-    The special elements' matrices are also summed once into one operator
-    on the flat dof vector (grid dofs node-major, then enriched dofs):
-    `special_dofs` lists the sorted dofs they touch, `special_k` is the
-    summed stiffness over those dofs (block-sparse, 3x3 node blocks),
-    `special_load` the summed load map sum_e L_e^T Bfac_e, whose
-    transpose maps the touched dofs to volume-integrated stress, and
-    `special_cv` the summed volume-integrated stiffness.
+    A voxel whose six tets are all regular has one phase, `voxel_phase`,
+    and is applied as one 24-dof stencil (slot 3 * corner + component):
+    `voxel_k[p]` = sum_t V P_t^T B_t^T C_p B_t P_t and the stress map
+    `voxel_s[p]` = sum_t V C_p B_t P_t, whose transpose is the load map.
+    `voxel_order` lists these voxels (flat ids) grouped by phase, phase p
+    at `voxel_order[voxel_bounds[p]:voxel_bounds[p + 1]]`.  `voxel_phase`
+    is -1 on every voxel that holds a special element.
+
+    The special elements and the regular ("plain") tets of the voxels with
+    `voxel_phase` -1 are summed once into one operator on the flat dof
+    vector (grid dofs node-major, then enriched dofs): `special_dofs` lists
+    the sorted dofs they touch, `special_k` is the summed stiffness over
+    those dofs (block-sparse, 3x3 node blocks), `special_load` the summed
+    load map sum_e L_e^T Bfac_e, whose transpose maps the touched dofs to
+    volume-integrated stress, and `special_cv` the summed volume-integrated
+    stiffness of all these elements; `total_cv` sums it over every element.
     """
 
     grid: Grid
@@ -332,6 +341,11 @@ class ElementCaches:
     b_mats: np.ndarray  # (6, 6, 12)
     tet_volume: float
     ptype: np.ndarray  # (6, N1, N2, N3) int8, -1 on special elements
+    voxel_phase: np.ndarray  # (N1, N2, N3) int8, -1 on voxels with a special element
+    voxel_order: np.ndarray  # (n_regular_voxels,) flat voxel ids grouped by phase
+    voxel_bounds: np.ndarray  # (n_phase + 1,) phase p spans [bounds[p], bounds[p + 1])
+    voxel_k: np.ndarray  # (n_phase, 24, 24)
+    voxel_s: np.ndarray  # (n_phase, 6, 24)
     total_cv: np.ndarray  # (6, 6): sum of V_e <C>_e over all elements
     # enriched (single-interface cut) elements
     cut_ttype: np.ndarray
@@ -355,7 +369,7 @@ class ElementCaches:
     special_dofs: np.ndarray  # (n_touched,) sorted flat dof indices
     special_k: scipy.sparse.bsr_matrix  # (n_touched, n_touched)
     special_load: np.ndarray  # (n_touched, 6)
-    special_cv: np.ndarray  # (6, 6)
+    special_cv: np.ndarray  # (6, 6) over the special and plain elements
     # internal scaling diagnostics
     d0: np.ndarray  # (n_x, 3)
     scale: np.ndarray  # (n_x, 3); zero marks a dropped enriched dof
@@ -367,6 +381,14 @@ class ElementCaches:
     mi_qp: np.ndarray | None = None
     mi_qw: np.ndarray | None = None
     _slot_maps: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the cached arrays, the special operator's included."""
+        k = self.special_k
+        arrays = [v for v in vars(self).values() if isinstance(v, np.ndarray)]
+        arrays += [k.data, k.indices, k.indptr]
+        return sum(a.nbytes for a in arrays)
 
     @property
     def n_cut(self):
@@ -492,7 +514,8 @@ def _assemble_special(parts):
     """Sum the special elements' matrices into one operator.
 
     `parts` holds (nodes (m, k), a (m, 3k, 3k), bfac (m, 3k, 6)) per kind
-    of special element; node ids run over [grid nodes, enriched slots].
+    of element (cut, fallback, plain); node ids run over [grid nodes,
+    enriched slots].
     Node blocks are summed by key with `np.bincount`, which needs far less
     memory than a COO matrix of every element entry.  Returns the sorted
     dofs touched, the block-sparse stiffness over them and the load map.
@@ -549,8 +572,9 @@ def build_caches(
 ) -> ElementCaches:
     """Assemble all per-element matrices of the cell.
 
-    The cut and fallback ("special") elements are also summed into one
-    operator, see `ElementCaches`.  `mode` "p1" disables enrichment
+    Regular voxels get per-phase 24-dof stencils; the cut and fallback
+    ("special") elements and the plain tets of their voxels are summed into
+    one operator, see `ElementCaches`.  `mode` "p1" disables enrichment
     entirely: every element is assembled as an uncut single-phase element
     with the base phase of its voxel (from the level-set signs at the
     voxel's (0,0,0) corner).
@@ -573,21 +597,20 @@ def build_caches(
     if nodal.ndim == 3:
         nodal = nodal[None]
 
-    # base phase per element from the nodal level-set signs (corner (0,0,0)
-    # is shared by all six tets): the discrete geometry is then consistently
-    # the interpolated one, for cut and uncut elements alike
-    ptype = np.empty((6,) + nshape, dtype=np.int8)
-    if assembly.regions:
-        signs0 = nodal[:, :, :, :]  # (n_regions, N1, N2, N3), corner 0 values
-        base = np.full(nshape, assembly.regions[-1].outside_phase, dtype=np.int8)
-        undecided = np.ones(nshape, dtype=bool)
-        for r, reg in enumerate(assembly.regions):
-            take = undecided & (signs0[r] > 0)
-            base[take] = reg.inside_phase
-            undecided &= ~take
-        ptype[:] = base
-    else:
-        ptype[:] = assembly.background
+    # base phase per voxel from the nodal level-set signs at its (0,0,0)
+    # corner, shared by all six tets: the discrete geometry is then
+    # consistently the interpolated one, for cut and uncut elements alike
+    base = np.full(
+        nshape,
+        assembly.regions[-1].outside_phase if assembly.regions else assembly.background,
+        dtype=np.int8,
+    )
+    undecided = np.ones(nshape, dtype=bool)
+    for r, reg in enumerate(assembly.regions):
+        take = undecided & (nodal[r] > 0)
+        base[take] = reg.inside_phase
+        undecided &= ~take
+    ptype = np.broadcast_to(base, (6,) + nshape).copy()
 
     # ---- collect cut and fallback elements in canonical (t, voxel) order
     # ("p1" enriches nothing, so it has no special elements)
@@ -722,12 +745,38 @@ def build_caches(
             mi_qw[sel] = vol_tet / 4.0
     caches.update(mi_nodes=mi_nodes, mi_a=mi_a, mi_bfac=mi_bfac, mi_cv=mi_cv)
 
-    # special elements leave the regular pass and form one summed operator
+    # special elements leave the regular pass, and so does every voxel that
+    # holds one: its plain tets join the special operator
     ptype[cut_ttype, cut_voxel[:, 0], cut_voxel[:, 1], cut_voxel[:, 2]] = -1
     ptype[mi_ttype, mi_voxel[:, 0], mi_voxel[:, 1], mi_voxel[:, 2]] = -1
-    counts = np.array([(ptype == p).sum() for p in range(n_phase)], dtype=float)
-    special_cv = caches["cut_cv"].sum(axis=0) + caches["mi_cv"].sum(axis=0)
-    total_cv = vol_tet * np.einsum("p,pcd->cd", counts, stiffness) + special_cv
+    voxel_phase = np.where((ptype < 0).any(axis=0), np.int8(-1), base)
+
+    # plain element matrices V B^T C B and load maps V B^T C per (tet, phase),
+    # summed over the six tets of a voxel into its 24-dof stencil K_p and
+    # stress map S_p (slot 3 * corner + component)
+    plain_a = vol_tet * np.einsum("tci,pcd,tdj->tpij", b_mats, stiffness, b_mats)
+    plain_bfac = vol_tet * np.einsum("tci,pcd->tpid", b_mats, stiffness)
+    voxel_k = np.zeros((n_phase, 24, 24))
+    voxel_s = np.zeros((n_phase, 6, 24))
+    for t in range(6):
+        slots = (3 * topo.corners[t][:, None] + np.arange(3)).ravel()
+        voxel_k[:, slots[:, None], slots] += plain_a[t]
+        voxel_s[:, :, slots] += plain_bfac[t].transpose(0, 2, 1)
+    vflat = voxel_phase.ravel()
+    voxel_order = np.argsort(vflat, kind="stable")[np.count_nonzero(vflat < 0) :]
+    voxel_bounds = np.searchsorted(vflat[voxel_order], np.arange(n_phase + 1))
+
+    tt, vi, vj, vk = np.nonzero((ptype >= 0) & (voxel_phase < 0))
+    plain_phase = ptype[tt, vi, vj, vk]
+    plain_nodes = _node_ids(np.stack([vi, vj, vk], axis=1), topo.offsets[tt], nshape)
+    n_plain = np.bincount(plain_phase, minlength=n_phase)
+    special_cv = (
+        caches["cut_cv"].sum(axis=0)
+        + caches["mi_cv"].sum(axis=0)
+        + vol_tet * np.einsum("p,pcd->cd", n_plain, stiffness)
+    )
+    n_regular = 6 * np.diff(voxel_bounds)
+    total_cv = vol_tet * np.einsum("p,pcd->cd", n_regular, stiffness) + special_cv
     cut_dof_nodes = np.concatenate(
         [caches["cut_nodes"], grid.n_nodes + caches["cut_enr"]], axis=1
     )
@@ -735,6 +784,7 @@ def build_caches(
         [
             (cut_dof_nodes, caches["cut_a"], caches["cut_bfac"]),
             (caches["mi_nodes"], caches["mi_a"], caches["mi_bfac"]),
+            (plain_nodes, plain_a[tt, plain_phase], plain_bfac[tt, plain_phase]),
         ]
     )
 
@@ -747,6 +797,11 @@ def build_caches(
         b_mats=b_mats,
         tet_volume=vol_tet,
         ptype=ptype,
+        voxel_phase=voxel_phase,
+        voxel_order=voxel_order,
+        voxel_bounds=voxel_bounds,
+        voxel_k=voxel_k,
+        voxel_s=voxel_s,
         total_cv=total_cv,
         special_dofs=special_dofs,
         special_k=special_k,

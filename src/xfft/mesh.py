@@ -51,8 +51,7 @@ class Grid:
 
 
 # Corner numbering of the unit voxel: corner (a, b, c) -> a + 2b + 4c.
-_CORNER_XYZ = np.array([[a, b, c] for c in (0, 1) for b in (0, 1) for a in (0, 1)])
-_CORNER_XYZ = _CORNER_XYZ[np.argsort(_CORNER_XYZ @ [1, 2, 4])]
+CORNER_OFFSETS = np.array([[a, b, c] for c in (0, 1) for b in (0, 1) for a in (0, 1)])
 
 
 def _kuhn_tets():
@@ -91,7 +90,7 @@ class ElementTopology:
 def build_topology() -> ElementTopology:
     corners, perms = _kuhn_tets()
     return ElementTopology(
-        corners=corners, offsets=_CORNER_XYZ[corners], perms=tuple(perms)
+        corners=corners, offsets=CORNER_OFFSETS[corners], perms=tuple(perms)
     )
 
 

@@ -1,13 +1,15 @@
 """Matrix-free residual evaluation and the iterative solution schemes.
 
-The global force residual is assembled in two parts.  One vectorized pass
-over the six tet types applies the shared strain-displacement matrix and
-the phase stiffness to every regular (uncut single-phase) element.  The
-cut and fallback ("special") elements were summed at build time into one
-block-sparse operator on the dofs they touch, so they add their forces
-with one sparse product on the flat dof vector.  The same sweep
-accumulates the volume-integrated stress, so each solver iteration costs
-one sweep plus one FFT preconditioner application.
+The global force residual is assembled in two parts.  A voxel whose six
+tets are all regular (uncut single-phase) is one 24-dof stencil of its
+phase: the sweep gathers the 8 corner displacements of every such voxel
+once, applies one 24x24 matrix per phase to that phase's voxels and
+scatters the corner forces back once.  The cut and fallback ("special")
+elements, together with the plain tets of their voxels, were summed at
+build time into one block-sparse operator on the dofs they touch, so
+they add their forces with one sparse product on the flat dof vector.
+The same sweep accumulates the volume-integrated stress, so each solver
+iteration costs one sweep plus one FFT preconditioner application.
 
 Sign convention: the residual is the gradient of the discrete energy,
 r(u) = sum_e L_e^T (A_e u_e + Bfac_e eps_bar), i.e. the internal force of
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import greenop
 from .element import ElementCaches, build_caches
-from .mesh import DofLayout, Grid, build_topology, detect_enrichment
+from .mesh import CORNER_OFFSETS, DofLayout, Grid, build_topology, detect_enrichment
 from .microstructure import sample_nodal
 from .voigt import MaterialIso, iso_stiffness, stiffness_bounds
 
@@ -37,6 +39,25 @@ ZERO6 = np.zeros(6)
 
 # absolute-residual fallback when the average stress vanishes (eps_bar = 0)
 SIGMA_NORM_FLOOR = 1e-300
+
+INT8_MAX = 127
+
+
+def _corner_gather(u_grid, offsets):
+    """Values of u_grid (N1, N2, N3, 3) at corner (a, b, c) of every voxel.
+
+    Returns (len(offsets), N1, N2, N3, 3); the voxel index is the voxel's
+    origin corner.
+    """
+    n1, n2, n3 = u_grid.shape[:3]
+    padded = np.pad(u_grid, ((0, 1), (0, 1), (0, 1), (0, 0)), mode="wrap")
+    return np.stack([padded[a : a + n1, b : b + n2, c : c + n3] for a, b, c in offsets])
+
+
+def _corner_scatter(acc, offsets, fc):
+    """Add per-voxel corner values fc (len(offsets), N1, N2, N3, 3) to acc."""
+    for (a, b, c), f in zip(offsets, fc):
+        acc += np.roll(f, shift=(a, b, c), axis=(0, 1, 2))
 
 
 class DofVector:
@@ -121,46 +142,46 @@ class System:
     # -- element sweeps ----------------------------------------------------
 
     def _gather(self, u_grid, t):
-        parts = [
-            np.roll(u_grid, shift=(-a, -b, -c), axis=(0, 1, 2))
-            for a, b, c in self.topo.offsets[t]
-        ]
-        return np.concatenate(parts, axis=-1)
+        """Displacements (N1, N2, N3, 12) at the 4 corners of tet t of each voxel."""
+        uc = _corner_gather(u_grid, self.topo.offsets[t])
+        return np.moveaxis(uc, 0, -2).reshape(uc.shape[1:4] + (12,))
 
     def _scatter(self, acc, t, fe):
-        for l, (a, b, c) in enumerate(self.topo.offsets[t]):
-            acc += np.roll(fe[..., 3 * l : 3 * l + 3], shift=(a, b, c), axis=(0, 1, 2))
+        """Add the corner forces fe (N1, N2, N3, 12) of tet t to their nodes."""
+        fc = np.moveaxis(fe.reshape(fe.shape[:3] + (4, 3)), -2, 0)
+        _corner_scatter(acc, self.topo.offsets[t], fc)
 
     def _sweep(self, u: DofVector, eps_bar, want_force=True):
-        """One pass over the regular elements plus the special-element operator.
+        """One pass over the regular voxels plus the special-element operator.
 
         Returns (force residual or None, volume-integrated stress (6,)).
         """
         c = self.caches
         eps_bar = np.asarray(eps_bar, dtype=float)
-        nshape = tuple(self.grid.n)
-        vol = c.tet_volume
-        sig_total = np.zeros(6)
-        r = self.zeros() if want_force else None
-        for t in range(6):
-            ue = self._gather(u.grid, t).reshape(-1, 12)
-            eps = ue @ c.b_mats[t].T
-            eps += eps_bar
-            sig = np.zeros_like(eps)  # stays zero on special elements (ptype -1)
-            pt = c.ptype[t].ravel()
-            for p in range(len(c.stiffness)):
-                rows = pt == p
-                if rows.any():
-                    sig[rows] = eps[rows] @ c.stiffness[p].T
-            sig_total += vol * sig.sum(axis=0)
+        order, bounds = c.voxel_order, c.voxel_bounds
+        # the 24 corner dofs of every regular voxel, grouped by phase
+        uc = _corner_gather(u.grid, CORNER_OFFSETS)
+        ue = uc.reshape(8, -1, 3).transpose(1, 0, 2)[order].reshape(-1, 24)
+        fe = np.empty_like(ue) if want_force else None
+        loaded = want_force and eps_bar.any()
+        sig_total = c.total_cv @ eps_bar
+        for p in range(len(c.stiffness)):
+            rows = slice(bounds[p], bounds[p + 1])
+            sig_total += c.voxel_s[p] @ ue[rows].sum(axis=0)
             if want_force:
-                fe = sig @ (vol * c.b_mats[t])
-                self._scatter(r.grid, t, fe.reshape(nshape + (12,)))
+                np.matmul(ue[rows], c.voxel_k[p].T, out=fe[rows])
+            if loaded:
+                fe[rows] += eps_bar @ c.voxel_s[p]
 
         us = u.data[c.special_dofs]
-        sig_total += us @ c.special_load + c.special_cv @ eps_bar
-        if want_force:
-            r.data[c.special_dofs] += c.special_k @ us + c.special_load @ eps_bar
+        sig_total += us @ c.special_load
+        if not want_force:
+            return None, sig_total
+        fc = np.zeros_like(uc)
+        fc.reshape(8, -1, 3)[:, order] = fe.reshape(-1, 8, 3).transpose(1, 0, 2)
+        r = self.zeros()
+        _corner_scatter(r.grid, CORNER_OFFSETS, fc)
+        r.data[c.special_dofs] += c.special_k @ us + c.special_load @ eps_bar
         return r, sig_total
 
     # -- operations --------------------------------------------------------
@@ -205,6 +226,14 @@ def build_system(
     """Discretize a cell: sample geometry, detect enrichment, build caches."""
     if mode not in ("xfem", "p1"):
         raise ValueError(f"unknown discretization {mode!r}")
+    # phase and region indices are stored as int8
+    if len(materials) > INT8_MAX or assembly.n_interfaces > INT8_MAX:
+        raise ValueError(f"at most {INT8_MAX} phases and {INT8_MAX} regions are supported")
+    used = [assembly.background]
+    used += [p for reg in assembly.regions for p in (reg.inside_phase, reg.outside_phase)]
+    for p in used:
+        if not 0 <= p < len(materials):
+            raise ValueError(f"phase {p} has no material ({len(materials)} given)")
     topo = build_topology()
     stiffness = np.array(
         [

@@ -224,3 +224,26 @@ def test_cli_threads_env(tmp_path, monkeypatch):
     # flag wins over the environment
     assert main(["--threads", "1", "solve", "--config", str(p), "--out", str(tmp_path)]) == EXIT_OK
     assert go._FFT_WORKERS == 1
+
+
+def test_cli_summary_reports_cache_bytes_and_verified_residual(tmp_path):
+    p = tmp_path / "sphere.json"
+    cfg = minimal_config(
+        phases=[
+            {"name": "m", "young": 1.5, "poisson": 0.25},
+            {"name": "s", "young": 3.0, "poisson": 0.3},
+        ],
+        geometry=[
+            {"type": "sphere", "center": [8, 8, 8], "radius": 5.0, "inside": "s", "outside": "m"}
+        ],
+    )
+    p.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    system = RunConfig(cfg).build()
+    assert summary["cache_bytes"] == system.caches.nbytes
+    k = system.caches.special_k
+    assert summary["cache_bytes"] > system.caches.voxel_k.nbytes + k.data.nbytes
+    # the residual recomputed from scratch satisfies the stopping criterion
+    tol = cfg["solver"]["tol"]
+    assert 0 < summary["residual_verified"] <= tol * np.linalg.norm(summary["average_stress"]) * 1.01

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from helpers import dense_system, flatten_dofs, solve_dense, unflatten_dofs
 
-from xfft.homogenize import hashin_system, homogeneous_cell
+from xfft.homogenize import hashin_cell, hashin_system, homogeneous_cell
 from xfft.mesh import Grid
 from xfft.microstructure import PhaseAssembly, Plane, Region, Sphere
 from xfft.solver import (
@@ -328,3 +328,56 @@ def test_nonconverged_flagged():
     res = run_lcg(system, SolverConfig("lcg", tol=1e-13, maxit=3), EPS_HYDRO)
     assert not res.converged
     assert res.iterations == 3
+
+
+@pytest.mark.parametrize("mode", ["p1", "xfem"])
+def test_multi_phase_voxel_stencil_matches_dense_assembly(mode):
+    # coated sphere at N=6, three phases.  p1: every voxel is in the voxel
+    # pass; xfem: the voxels holding cut elements also hold plain tets of
+    # phases 0 and 1, which go through the special operator
+    system, _ = hashin_system(6, mode=mode, store_quadrature=False)
+    assembly = hashin_cell()[0]
+    c = system.caches
+    plain = c.ptype[:, c.voxel_phase < 0]
+    if mode == "p1":
+        assert len(c.special_dofs) == 0 and np.all(np.diff(c.voxel_bounds) > 0)
+    else:
+        assert set(plain[plain >= 0]) == {0, 1}
+    a, bmat = dense_system(system, assembly)
+    rng = np.random.default_rng(6)
+    for _ in range(2):
+        u = system.zeros()
+        u.data[:] = rng.standard_normal(u.data.shape)
+        eps = rng.standard_normal(6)
+        r_dense = a @ flatten_dofs(u) + bmat @ eps
+        r = system.residual(u, eps)
+        assert np.allclose(flatten_dofs(r), r_dense, rtol=1e-12, atol=1e-12 * np.abs(r_dense).max())
+        sigma = system.average_stress(u, eps)
+        expect = (bmat.T @ flatten_dofs(u) + c.total_cv @ eps) / system.grid.volume
+        assert np.allclose(sigma, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+
+
+@pytest.mark.parametrize("mode", ["xfem", "p1"])
+def test_phase_without_material_rejected(mode):
+    grid = Grid((4, 4, 4), (16.0,) * 3)
+    mats = [MaterialIso(1.0, 0.3), MaterialIso(2.0, 0.3)]
+    sphere = Sphere((8.0, 8.0, 8.0), 4.0)
+    for assembly in (
+        PhaseAssembly([Region(sphere, 2, 0)], 0),
+        PhaseAssembly([Region(sphere, 1, 2)], 0),
+        PhaseAssembly([Region(sphere, 1, -1)], 0),
+        PhaseAssembly([], 2),
+    ):
+        with pytest.raises(ValueError, match="has no material"):
+            build_system(assembly, grid, mats, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["xfem", "p1"])
+def test_more_phases_or_regions_than_int8_rejected(mode):
+    grid = Grid((4, 4, 4), (16.0,) * 3)
+    sphere = Sphere((8.0, 8.0, 8.0), 4.0)
+    with pytest.raises(ValueError, match="at most 127"):
+        build_system(PhaseAssembly([], 0), grid, [MaterialIso(1.0, 0.3)] * 128, mode=mode)
+    regions = [Region(sphere, 0, 0)] * 128
+    with pytest.raises(ValueError, match="at most 127"):
+        build_system(PhaseAssembly(regions, 0), grid, [MaterialIso(1.0, 0.3)], mode=mode)
