@@ -38,7 +38,7 @@ from .homogenize import (
 )
 from .mesh import Grid
 from .microstructure import PhaseAssembly, Plane, Region, Sphere, SphereUnion
-from .solver import SolverConfig, build_system, run_scheme
+from .solver import SolverConfig, build_system, check_phases, run_scheme
 from .voigt import MaterialIso, iso_stiffness
 
 EXIT_OK = 0
@@ -118,6 +118,10 @@ class RunConfig:
             self.phase_names.append(ph["name"])
 
         self.assembly = self._parse_geometry(data["geometry"])
+        try:
+            check_phases(self.assembly, len(self.materials))
+        except ValueError as exc:
+            raise ConfigError(f"phases: {exc}") from None
         self.discretization = data.get("discretization", "xfem")
         _require(
             self.discretization in ("xfem", "p1"),

@@ -220,20 +220,28 @@ class System:
         return 0.5 * (self.c_minus + self.c_plus)
 
 
+def check_phases(assembly, n_materials: int):
+    """Raise ValueError unless the cell's phase indices fit its materials.
+
+    Every inside, outside and background phase needs a material, and the
+    phase and region counts must fit the int8 index arrays.
+    """
+    if n_materials > INT8_MAX or assembly.n_interfaces > INT8_MAX:
+        raise ValueError(f"at most {INT8_MAX} phases and {INT8_MAX} regions are supported")
+    used = [assembly.background]
+    used += [p for reg in assembly.regions for p in (reg.inside_phase, reg.outside_phase)]
+    for p in used:
+        if not 0 <= p < n_materials:
+            raise ValueError(f"phase {p} has no material ({n_materials} given)")
+
+
 def build_system(
     assembly, grid: Grid, materials, mode: str = "xfem", store_quadrature: bool = True
 ) -> System:
     """Discretize a cell: sample geometry, detect enrichment, build caches."""
     if mode not in ("xfem", "p1"):
         raise ValueError(f"unknown discretization {mode!r}")
-    # phase and region indices are stored as int8
-    if len(materials) > INT8_MAX or assembly.n_interfaces > INT8_MAX:
-        raise ValueError(f"at most {INT8_MAX} phases and {INT8_MAX} regions are supported")
-    used = [assembly.background]
-    used += [p for reg in assembly.regions for p in (reg.inside_phase, reg.outside_phase)]
-    for p in used:
-        if not 0 <= p < len(materials):
-            raise ValueError(f"phase {p} has no material ({len(materials)} given)")
+    check_phases(assembly, len(materials))
     topo = build_topology()
     stiffness = np.array(
         [

@@ -247,3 +247,12 @@ def test_cli_summary_reports_cache_bytes_and_verified_residual(tmp_path):
     # the residual recomputed from scratch satisfies the stopping criterion
     tol = cfg["solver"]["tol"]
     assert 0 < summary["residual_verified"] <= tol * np.linalg.norm(summary["average_stress"]) * 1.01
+
+
+def test_too_many_phases_rejected(tmp_path):
+    phases = [{"name": f"p{i}", "young": 1.0, "poisson": 0.3} for i in range(128)]
+    with pytest.raises(ConfigError, match="phases: at most 127 phases"):
+        RunConfig(minimal_config(phases=phases))
+    p = tmp_path / "many.json"
+    p.write_text(json.dumps(minimal_config(phases=phases)))
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
