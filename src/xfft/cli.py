@@ -13,10 +13,13 @@ rejected).  Subcommands:
 
 Exit codes: 0 success, 1 validation failure, 2 invalid configuration,
 3 solver not converged.  Thread count comes from --threads or the
-XFFT_THREADS environment variable (flag wins).
+XFFT_THREADS environment variable (flag wins); `solve` reports the FFT
+workers and the OpenBLAS threads in effect in summary.json.
 """
 
 import argparse
+import ctypes
+import glob
 import json
 import os
 import sys
@@ -294,6 +297,29 @@ def _warn_report(system):
     return lines
 
 
+_OPENBLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+def openblas_threads():
+    """Thread count of numpy's bundled OpenBLAS, or None if it is not reachable."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_GETTERS:
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+
 def cmd_solve(cfg: RunConfig, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
@@ -308,6 +334,9 @@ def cmd_solve(cfg: RunConfig, out_dir):
         "scheme": result.scheme,
         "residual": result.res_final,
         "residual_verified": result.res_verified,
+        "residual_verified_within_tol": result.verified_within_tol,
+        "fft_workers": greenop.fft_workers(),
+        "openblas_threads": openblas_threads(),
         "cache_bytes": system.caches.nbytes,
         "wall_time": wall,
         "n_dofs": system.layout.n_dofs,

@@ -13,6 +13,14 @@ the (at most quadratic) stiffness integrands without error.  Sliver
 subtets below 1e-12 of the parent volume are dropped and the remaining
 weights renormalized, since weights at round-off scale destabilize the
 internal scaling factors.
+
+A cut element's matrices follow its block structure.  The strain rows of
+the 12 standard dofs are the constant P1 matrix B of the tet type; only
+the enriched rows Bx vary over the quadrature points.  The standard blocks
+(A_uu = B^T cv B, A_ux = B^T g and the load factor B^T cv) and the
+enriched load factor g^T therefore come from two sums per element,
+cv = sum_q w_q C_q and g = sum_q w_q C_q Bx_q; only the enriched block
+A_xx = sum_q Bx_q^T w_q C_q Bx_q is formed point by point.
 """
 
 from dataclasses import dataclass, field
@@ -68,32 +76,32 @@ def shunn_ham_4(verts: np.ndarray):
     return SH_BARY @ verts, np.full(4, vol / 4.0)
 
 
+def b_matrix(grads: np.ndarray) -> np.ndarray:
+    """Strain-displacement matrix (..., 6, 3*n) from n scalar gradients (..., n, 3).
+
+    Column 3*i + c is the Mandel vector of the symmetrized gradient of a
+    displacement field N_i(x) e_c whose scalar gradient is grads[i].
+    """
+    g = np.asarray(grads, dtype=float)
+    n = g.shape[-2]
+    out = np.zeros(g.shape[:-2] + (6, n, 3))
+    gx, gy, gz = g[..., 0], g[..., 1], g[..., 2]
+    out[..., 0, :, 0] = gx
+    out[..., 1, :, 1] = gy
+    out[..., 2, :, 2] = gz
+    out[..., 3, :, 1] = out[..., 4, :, 0] = gz / SQRT2
+    out[..., 3, :, 2] = out[..., 5, :, 0] = gy / SQRT2
+    out[..., 4, :, 2] = out[..., 5, :, 1] = gx / SQRT2
+    return out.reshape(g.shape[:-2] + (6, 3 * n))
+
+
 def sym_grad_cols(g: np.ndarray) -> np.ndarray:
     """Mandel columns (..., 6, 3) of sym(e_c (x) g) for the three components.
 
     Column c is the Mandel vector of the symmetrized gradient of a
     displacement field N(x) e_c whose scalar gradient is g.
     """
-    g = np.asarray(g, dtype=float)
-    out = np.zeros(g.shape[:-1] + (6, 3))
-    gx, gy, gz = g[..., 0], g[..., 1], g[..., 2]
-    out[..., 0, 0] = gx
-    out[..., 1, 1] = gy
-    out[..., 2, 2] = gz
-    out[..., 3, 1] = gz / SQRT2
-    out[..., 3, 2] = gy / SQRT2
-    out[..., 4, 0] = gz / SQRT2
-    out[..., 4, 2] = gx / SQRT2
-    out[..., 5, 0] = gy / SQRT2
-    out[..., 5, 1] = gx / SQRT2
-    return out
-
-
-def b_matrix(grads: np.ndarray) -> np.ndarray:
-    """Strain-displacement matrix (6, 3*n) from n scalar gradients (n, 3)."""
-    cols = sym_grad_cols(grads)  # (n, 6, 3)
-    n = cols.shape[0]
-    return cols.transpose(1, 0, 2).reshape(6, 3 * n)
+    return b_matrix(np.asarray(g, dtype=float)[..., None, :])
 
 
 def modified_abs(levels: np.ndarray, verts: np.ndarray, x: np.ndarray):
@@ -161,18 +169,21 @@ def _sign_code(levels):
 
 
 def _template_bary(template, levels):
-    """Barycentric vertex matrices (n_sub, 4, 4) of a template instance."""
+    """Barycentric vertex matrices (..., n_sub, 4, 4) of template instances.
+
+    `levels` (..., 4) holds the nodal level-set values of each instance.
+    """
     levels = np.asarray(levels, dtype=float)
-    bary = np.zeros((len(template), 4, 4))
+    bary = np.zeros(levels.shape[:-1] + (len(template), 4, 4))
     for si, (spec, _) in enumerate(template):
         for vi, vs in enumerate(spec):
             if isinstance(vs, tuple):
                 i, j = vs
-                t = levels[i] / (levels[i] - levels[j])
-                bary[si, vi, i] = 1.0 - t
-                bary[si, vi, j] = t
+                t = levels[..., i] / (levels[..., i] - levels[..., j])
+                bary[..., si, vi, i] = 1.0 - t
+                bary[..., si, vi, j] = t
             else:
-                bary[si, vi, vs] = 1.0
+                bary[..., si, vi, vs] = 1.0
     return bary
 
 
@@ -290,8 +301,7 @@ def assemble_enriched(verts, levels, stiff_plus, stiff_minus, scale) -> ElementM
     cv = np.zeros((6, 6))
     for _, weights, _, gx, side in enrichment_quadrature(verts, levels):
         c = np.asarray(stiff_plus if side > 0 else stiff_minus, dtype=float)
-        cols = sym_grad_cols(gx) * scale[None, :, None, :]  # (4qp, 4n, 6, 3)
-        bx = cols.transpose(0, 2, 1, 3).reshape(4, 6, 12)
+        bx = b_matrix(gx) * scale.reshape(12)  # (4qp, 6, 12)
         b = np.concatenate([np.broadcast_to(bfe, (4, 6, 12)), bx], axis=2)
         wc = weights[:, None, None] * c
         a += np.einsum("qci,qcd,qdj->ij", b, wc, b)
@@ -448,63 +458,55 @@ def _resolve_side_phases(assembly, sign_matrix, cut_index):
 def _group_geometry(levels, grads, template):
     """Vectorized quadrature data for all elements of one (type, pattern) group.
 
-    Returns weights (m, S, 4), parent barycentric coordinates of the
-    quadrature points (m, S, 4, 4), unscaled enriched gradients
-    (m, S, 4, 4, 3) and the subtet sides (S,).
+    Returns the subtet volume fractions (m, S), parent barycentric
+    coordinates of the quadrature points (m, S, 4, 4), unscaled enriched
+    gradients (m, S, 4, 4, 3) and the subtet sides (S,).
     """
-    m = levels.shape[0]
-    n_sub = len(template)
     sides = np.array([s for _, s in template])
-    bary = np.zeros((m, n_sub, 4, 4))
-    for si, (spec, _) in enumerate(template):
-        for vi, vs in enumerate(spec):
-            if isinstance(vs, tuple):
-                i, j = vs
-                t = levels[:, i] / (levels[:, i] - levels[:, j])
-                bary[:, si, vi, i] = 1.0 - t
-                bary[:, si, vi, j] = t
-            else:
-                bary[:, si, vi, vs] = 1.0
+    bary = _template_bary(template, levels)
     ratio = np.abs(np.linalg.det(bary))
     ratio[ratio < DEGENERATE_REL_VOLUME] = 0.0
     ratio /= ratio.sum(axis=1, keepdims=True)
-    lam_q = np.einsum("qv,msvb->msqb", SH_BARY, bary)
+    lam_q = SH_BARY @ bary
     coef = np.abs(levels)[:, None, :] - sides[None, :, None] * levels[:, None, :]
-    rho = np.einsum("msqb,msb->msq", lam_q, coef)
-    grho = np.einsum("bd,msb->msd", grads, coef)
-    gx = (
-        rho[..., None, None] * grads[None, None, None]
-        + lam_q[..., None] * grho[:, :, None, None, :]
-    )
+    rho = lam_q @ coef[..., None]  # (m, S, 4, 1)
+    grho = coef @ grads  # (m, S, 3)
+    gx = rho[..., None] * grads + lam_q[..., None] * grho[:, :, None, None, :]
     return ratio, lam_q, gx, sides
 
 
 def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet):
     """Unscaled matrices of a chunk of cut elements of one (type, pattern).
 
-    `c_plus`/`c_minus` (m, 6, 6) are the stiffnesses on either side.
+    `c_plus`/`c_minus` (m, 6, 6) are the stiffnesses on either side.  The
+    12 standard dofs share the constant strain matrix B = `b_mat` of the
+    tet type, so with cv = sum_q w_q C_q and g = sum_q w_q C_q Bx_q (Bx_q
+    the enriched strain rows at point q) the blocks
+    A_uu = B^T cv B, A_ux = B^T g, Bfac_u = B^T cv and Bfac_x = g^T need no
+    per-point work.  Only A_xx = sum_q Bx_q^T w_q C_q Bx_q does: one batched
+    matmul over the 6 * 4 * S stacked strain rows of each element.
     Returns a (m, 24, 24), bfac (m, 24, 6), cv (m, 6, 6), the scaling
     integrals (m, 4, 3) of `d0_element`, the quadrature weights (m, S, 4)
     and the parent barycentric coordinates of the points (m, S, 4, 4).
     """
     m, n_sub = len(levels), len(template)
     ratio, lam_q, gx, sides = _group_geometry(levels, grads, template)
-    w = vol_tet * ratio[..., None] / 4.0 * np.ones(4)
-    gsq = gx**2
-    d0 = 0.5 * np.einsum("msq,msqj->mj", w, gsq.sum(axis=-1))[..., None] + 0.5 * (
-        np.einsum("msq,msqja->mja", w, gsq)
-    )
+    ws = vol_tet * ratio / 4.0  # (m, S): the weight of each of a subtet's points
+    wg = np.einsum("ms,msqja->mja", ws, gx**2)
+    d0 = 0.5 * (wg.sum(axis=-1, keepdims=True) + wg)
     cq = np.where(sides[None, :, None, None] > 0, c_plus[:, None], c_minus[:, None])
-    b = np.empty((m, n_sub, 4, 6, 24))
-    b[..., :12] = b_mat
-    b[..., 12:] = (
-        sym_grad_cols(gx).transpose(0, 1, 2, 4, 3, 5).reshape(m, n_sub, 4, 6, 12)
-    )
-    wc = w[..., None, None] * cq[:, :, None]
-    a = np.einsum("msqci,msqcd,msqdj->mij", b, wc, b, optimize=True)
-    bfac = np.einsum("msqci,msqcd->mid", b, wc, optimize=True)
-    cv = np.einsum("msq,mscd->mcd", w, cq, optimize=True)
-    return a, bfac, cv, d0, w, lam_q
+    wc = ws[..., None, None] * cq  # (m, S, 6, 6)
+    cv = 4.0 * wc.sum(axis=1)
+    bx = b_matrix(gx)  # (m, S, 4, 6, 12)
+    wcbx = wc[:, :, None] @ bx
+    g = wcbx.sum(axis=(1, 2))  # (m, 6, 12)
+    a = np.empty((m, 24, 24))
+    a[:, :12, :12] = b_mat.T @ cv @ b_mat
+    a[:, :12, 12:] = b_mat.T @ g
+    a[:, 12:, :12] = a[:, :12, 12:].transpose(0, 2, 1)
+    a[:, 12:, 12:] = bx.reshape(m, -1, 12).transpose(0, 2, 1) @ wcbx.reshape(m, -1, 12)
+    bfac = np.concatenate([b_mat.T @ cv, g.transpose(0, 2, 1)], axis=1)
+    return a, bfac, cv, d0, np.repeat(ws[..., None], 4, axis=-1), lam_q
 
 
 _CHUNK = 512
@@ -886,8 +888,7 @@ def evaluate_strain(
             gx = rho[:, None, None] * caches.grads[t][None] + (
                 lam[..., None] * grho[:, None, :]
             )
-            cols = sym_grad_cols(gx) * caches.cut_scale[s][:, :, None, :]
-            bx = cols.transpose(0, 2, 1, 3).reshape(-1, 6, 12)
+            bx = b_matrix(gx) * caches.cut_scale[s].reshape(-1, 1, 12)
             ux = np.asarray(u_enr)[caches.cut_enr[s]].reshape(-1, 12)
             eps[sel] += np.einsum("mci,mi->mc", bx, ux)
     return eps

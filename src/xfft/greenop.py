@@ -31,6 +31,11 @@ def set_fft_workers(n: int):
     _FFT_WORKERS = max(1, int(n))
 
 
+def fft_workers() -> int:
+    """Thread count the FFT backend currently uses."""
+    return _FFT_WORKERS
+
+
 def rfftn(a, axes=(0, 1, 2)):
     return scipy.fft.rfftn(a, axes=axes, workers=_FFT_WORKERS)
 

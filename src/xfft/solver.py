@@ -121,6 +121,7 @@ class SolveResult:
     energies: list
     res_final: float
     res_verified: float  # recomputed from scratch after the solve
+    verified_within_tol: bool  # res_verified meets the stopping criterion
     wall_time: float
 
 
@@ -306,7 +307,7 @@ class _Run:
 
     def finish(self, u, converged, k, sigma, res_raw) -> SolveResult:
         f_check = self.system.residual(u, self.eps_bar)
-        res_verified = self.system.res_norm(f_check) * self.inv_vol
+        res_check = self.system.res_norm(f_check)
         return SolveResult(
             u=u,
             converged=converged,
@@ -316,7 +317,8 @@ class _Run:
             history=self.history,
             energies=self.energies,
             res_final=res_raw * self.inv_vol,
-            res_verified=res_verified,
+            res_verified=res_check * self.inv_vol,
+            verified_within_tol=self.done(res_check, sigma),
             wall_time=time.perf_counter() - self.t0,
         )
 

@@ -256,3 +256,46 @@ def test_too_many_phases_rejected(tmp_path):
     p = tmp_path / "many.json"
     p.write_text(json.dumps(minimal_config(phases=phases)))
     assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
+
+
+def sphere_config(**solver):
+    return minimal_config(
+        phases=[
+            {"name": "m", "young": 1.5, "poisson": 0.25},
+            {"name": "s", "young": 3.0, "poisson": 0.3},
+        ],
+        geometry=[
+            {"type": "sphere", "center": [8, 8, 8], "radius": 5.0, "inside": "s", "outside": "m"}
+        ],
+        solver={"scheme": "lcg", "tol": 1e-8, "maxit": 50, **solver},
+    )
+
+
+def test_cli_summary_flags_unverified_solves(tmp_path):
+    flags = []
+    for maxit, code in ((50, EXIT_OK), (1, 3)):
+        p = tmp_path / f"maxit{maxit}.json"
+        p.write_text(json.dumps(sphere_config(maxit=maxit)))
+        out = tmp_path / f"out{maxit}"
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == code
+        flags.append(json.loads((out / "summary.json").read_text())["residual_verified_within_tol"])
+    assert flags == [True, False]
+
+
+def test_cli_summary_reports_thread_settings(tmp_path):
+    from xfft import greenop
+
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(minimal_config()))
+    before = greenop.fft_workers()
+    try:
+        for threads in (2, 1):
+            argv = ["--threads", str(threads), "solve", "--config", str(p), "--out", str(tmp_path)]
+            assert main(argv) == EXIT_OK
+            summary = json.loads((tmp_path / "summary.json").read_text())
+            assert summary["fft_workers"] == threads
+            assert "openblas_threads" in summary
+            blas = summary["openblas_threads"]
+            assert blas is None or (isinstance(blas, int) and blas >= 1)
+    finally:
+        greenop.set_fft_workers(before)

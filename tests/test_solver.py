@@ -381,3 +381,23 @@ def test_more_phases_or_regions_than_int8_rejected(mode):
     regions = [Region(sphere, 0, 0)] * 128
     with pytest.raises(ValueError, match="at most 127"):
         build_system(PhaseAssembly(regions, 0), grid, [MaterialIso(1.0, 0.3)], mode=mode)
+
+
+def test_results_bitwise_equal_for_one_and_two_fft_workers():
+    from xfft import greenop
+
+    system, _ = hashin_system(8, store_quadrature=False)
+    config = SolverConfig(scheme="lcg", tol=1e-10, maxit=200)
+    before = greenop.fft_workers()
+    runs = []
+    try:
+        for workers in (1, 2):
+            greenop.set_fft_workers(workers)
+            runs.append(run_lcg(system, config, EPS_HYDRO))
+    finally:
+        greenop.set_fft_workers(before)
+    one, two = runs
+    assert one.converged and one.iterations == two.iterations
+    assert np.array_equal(one.sigma, two.sigma)
+    # (iteration, res, res_rel) rows; the wall time differs
+    assert [row[:3] for row in one.history] == [row[:3] for row in two.history]
