@@ -489,7 +489,7 @@ def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet):
     integrals (m, 4, 3) of `d0_element`, the quadrature weights (m, S, 4)
     and the parent barycentric coordinates of the points (m, S, 4, 4).
     """
-    m, n_sub = len(levels), len(template)
+    m = len(levels)
     ratio, lam_q, gx, sides = _group_geometry(levels, grads, template)
     ws = vol_tet * ratio / 4.0  # (m, S): the weight of each of a subtet's points
     wg = np.einsum("ms,msqja->mja", ws, gx**2)

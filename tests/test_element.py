@@ -470,12 +470,12 @@ def test_cut_kernel_matches_reference_every_pattern():
     m = 3
     for t in range(6):
         verts = tet_vertices(topo, grid, t)
-        b_mat = b_matrix(p1_grads(verts))
+        grads = p1_grads(verts)
         for code in range(1, 15):
             levels = np.array([mixed_levels(rng, code) for _ in range(m)])
             c_plus, c_minus = spd(m), spd(m)
             a, bfac, cv, d0, _, _ = _cut_matrices(
-                levels, p1_grads(verts), b_mat, CUT_TEMPLATES[code], c_plus, c_minus, vol_tet
+                levels, grads, b_matrix(grads), CUT_TEMPLATES[code], c_plus, c_minus, vol_tet
             )
             for e in range(m):
                 ref = assemble_enriched(verts, levels[e], c_plus[e], c_minus[e], np.ones((4, 3)))
