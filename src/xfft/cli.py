@@ -13,8 +13,10 @@ rejected).  Subcommands:
 
 Exit codes: 0 success, 1 validation failure, 2 invalid configuration,
 3 solver not converged.  Thread count comes from --threads or the
-XFFT_THREADS environment variable (flag wins); `solve` reports the FFT
-workers and the OpenBLAS threads in effect in summary.json.
+XFFT_THREADS environment variable (flag wins, default 1) and sets both
+the FFT workers and the threads of numpy's bundled OpenBLAS, which runs
+the element sweep's matrix products; `solve` reports the FFT workers and
+the OpenBLAS threads in effect in summary.json.
 """
 
 import argparse
@@ -40,7 +42,7 @@ from .homogenize import (
     rel_error,
 )
 from .mesh import Grid
-from .microstructure import PhaseAssembly, Plane, Region, Sphere, SphereUnion
+from .microstructure import PhaseAssembly, Plane, Region, Sphere, SphereUnion, check_cell
 from .solver import SolverConfig, build_system, check_phases, run_scheme
 from .voigt import MaterialIso, iso_stiffness
 
@@ -121,6 +123,10 @@ class RunConfig:
             self.phase_names.append(ph["name"])
 
         self.assembly = self._parse_geometry(data["geometry"])
+        try:
+            check_cell(self.assembly, self.lengths)
+        except ValueError as exc:
+            raise ConfigError(f"geometry: {exc}") from None
         try:
             check_phases(self.assembly, len(self.materials))
         except ValueError as exc:
@@ -297,27 +303,42 @@ def _warn_report(system):
     return lines
 
 
-_OPENBLAS_GETTERS = (
-    "scipy_openblas_get_num_threads64_",
-    "openblas_get_num_threads64_",
-    "openblas_get_num_threads",
-)
+_OPENBLAS_AFFIXES = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
 
 
-def openblas_threads():
-    """Thread count of numpy's bundled OpenBLAS, or None if it is not reachable."""
+def _openblas_fn(name, argtypes, restype):
+    """Function `name` of numpy's bundled OpenBLAS, or None if not reachable."""
     for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in _OPENBLAS_GETTERS:
-            fn = getattr(lib, name, None)
+        for prefix, suffix in _OPENBLAS_AFFIXES:
+            fn = getattr(lib, prefix + name + suffix, None)
             if fn is not None:
-                fn.argtypes = []
-                fn.restype = ctypes.c_int
-                return int(fn())
+                fn.argtypes = argtypes
+                fn.restype = restype
+                return fn
     return None
+
+
+def openblas_threads():
+    """Thread count of numpy's bundled OpenBLAS, or None if it is not reachable."""
+    fn = _openblas_fn("get_num_threads", [], ctypes.c_int)
+    return None if fn is None else int(fn())
+
+
+def set_openblas_threads(n: int):
+    """Set the thread count of numpy's bundled OpenBLAS, if it is reachable."""
+    fn = _openblas_fn("set_num_threads", [ctypes.c_int], None)
+    if fn is not None:
+        fn(max(1, int(n)))
+
+
+def set_threads(n: int):
+    """The one thread-control point: FFT workers and OpenBLAS threads."""
+    greenop.set_fft_workers(n)
+    set_openblas_threads(n)
 
 
 def cmd_solve(cfg: RunConfig, out_dir):
@@ -504,7 +525,7 @@ def main(argv=None):
     p_val.add_argument("--scheme", default="lcg")
 
     args = parser.parse_args(argv)
-    greenop.set_fft_workers(_threads(args))
+    set_threads(_threads(args))
 
     if args.command == "validate":
         try:

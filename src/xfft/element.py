@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .mesh import DofLayout, ElementTopology, Grid, tet_vertices
+from .mesh import CORNER_OFFSETS, DofLayout, ElementTopology, Grid, tet_vertices
 
 SQRT2 = np.sqrt(2.0)
 
@@ -228,16 +228,15 @@ def cut_tet(verts: np.ndarray, levels: np.ndarray) -> list:
 
 @dataclass
 class ElementMatrices:
-    """Cached element matrices: stiffness, load factor and stress map."""
+    """Element matrices: stiffness, load factor and integrated stiffness.
+
+    The transpose of `bfac` maps the element dofs to volume-integrated
+    stress.
+    """
 
     a: np.ndarray  # (nd, nd) symmetric PSD
     bfac: np.ndarray  # (nd, 6), load vector is bfac @ eps_bar
     cv: np.ndarray  # (6, 6) volume-integrated stiffness
-
-    @property
-    def stress_map(self):
-        """(6, nd) map from element dofs to volume-integrated stress."""
-        return self.bfac.T
 
 
 def assemble_plain(verts, stiffness) -> ElementMatrices:
@@ -329,9 +328,13 @@ class ElementCaches:
     and is applied as one 24-dof stencil (slot 3 * corner + component):
     `voxel_k[p]` = sum_t V P_t^T B_t^T C_p B_t P_t and the stress map
     `voxel_s[p]` = sum_t V C_p B_t P_t, whose transpose is the load map.
-    `voxel_order` lists these voxels (flat ids) grouped by phase, phase p
-    at `voxel_order[voxel_bounds[p]:voxel_bounds[p + 1]]`.  `voxel_phase`
-    is -1 on every voxel that holds a special element.
+    `voxel_dofs` indexes these voxels' dofs in the flat dof vector: row v
+    lists dof 3 * node + component of the 8 corners of one voxel, in slot
+    order, and the rows are grouped by phase, phase p in rows
+    `voxel_bounds[p]:voxel_bounds[p + 1]`.  The sweep gathers with it,
+    and scatters back with one `np.bincount`.  It is intp, so that numpy
+    indexes with it without a conversion on every sweep.  `voxel_phase` is
+    -1 on every voxel that holds a special element.
 
     The special elements and the regular ("plain") tets of the voxels with
     `voxel_phase` -1 are summed once into one operator on the flat dof
@@ -352,7 +355,7 @@ class ElementCaches:
     tet_volume: float
     ptype: np.ndarray  # (6, N1, N2, N3) int8, -1 on special elements
     voxel_phase: np.ndarray  # (N1, N2, N3) int8, -1 on voxels with a special element
-    voxel_order: np.ndarray  # (n_regular_voxels,) flat voxel ids grouped by phase
+    voxel_dofs: np.ndarray  # (n_regular_voxels, 24) intp corner dofs, grouped by phase
     voxel_bounds: np.ndarray  # (n_phase + 1,) phase p spans [bounds[p], bounds[p + 1])
     voxel_k: np.ndarray  # (n_phase, 24, 24)
     voxel_s: np.ndarray  # (n_phase, 6, 24)
@@ -425,9 +428,9 @@ class ElementCaches:
 
 
 def _node_ids(voxels, offsets, n):
-    """Flat node ids (m, 4) of the 4 corners of tets at `voxels` (m, 3).
+    """Flat node ids (m, k) of k corners of the voxels `voxels` (m, 3).
 
-    `offsets` (4, 3) or, per tet, (m, 4, 3) holds the corner offsets.
+    `offsets` (k, 3) or, per voxel, (m, k, 3) holds the corner offsets.
     """
     idx = (voxels[:, None, :] + offsets) % np.asarray(n)
     return np.ravel_multi_index(
@@ -767,6 +770,11 @@ def build_caches(
     vflat = voxel_phase.ravel()
     voxel_order = np.argsort(vflat, kind="stable")[np.count_nonzero(vflat < 0) :]
     voxel_bounds = np.searchsorted(vflat[voxel_order], np.arange(n_phase + 1))
+    # the 24 corner dofs of every regular voxel, in phase order
+    voxel_nodes = _node_ids(
+        np.stack(np.unravel_index(voxel_order, nshape), axis=1), CORNER_OFFSETS, nshape
+    )
+    voxel_dofs = (3 * voxel_nodes[:, :, None] + np.arange(3)).reshape(-1, 24)
 
     tt, vi, vj, vk = np.nonzero((ptype >= 0) & (voxel_phase < 0))
     plain_phase = ptype[tt, vi, vj, vk]
@@ -800,7 +808,7 @@ def build_caches(
         tet_volume=vol_tet,
         ptype=ptype,
         voxel_phase=voxel_phase,
-        voxel_order=voxel_order,
+        voxel_dofs=voxel_dofs,
         voxel_bounds=voxel_bounds,
         voxel_k=voxel_k,
         voxel_s=voxel_s,

@@ -8,8 +8,9 @@ last region (or the assembly background) applies.  Near an interface the
 magnitude of the level set approximates the distance to it, which is all
 the enrichment machinery relies on.
 
-Periodicity: sphere distances use the minimum-image convention per axis
-(exact while the radius stays below half the cell).  A single plane
+Periodicity: sphere distances use the minimum-image convention per axis,
+which is exact only while the radius stays below half the cell on every
+axis; `check_cell` rejects larger spheres.  A single plane
 cannot partition a periodic cell, so the plane level set is the centered
 triangle wave along the normal: the zero set consists of the requested
 plane and its conjugate half a period away, bounding a half-cell slab.
@@ -125,6 +126,22 @@ class PhaseAssembly:
             out[take] = reg.inside_phase
             undecided &= ~inside
         return int(out[0]) if scalar else out
+
+
+def check_cell(assembly: PhaseAssembly, lengths):
+    """Raise ValueError for a sphere, or union member, with r >= L_a / 2.
+
+    Beyond that radius a sphere meets its own periodic image on axis a,
+    where the minimum-image distance no longer describes it.
+    """
+    half = 0.5 * min(lengths)
+    for i, reg in enumerate(assembly.regions):
+        for s in getattr(reg.shape, "spheres", (reg.shape,)):
+            if isinstance(s, Sphere) and not s.radius < half:
+                raise ValueError(
+                    f"region {i}: sphere radius {s.radius:g} must be below half the "
+                    f"shortest cell length ({half:g})"
+                )
 
 
 SNAP_ETA = 1e-8

@@ -2,9 +2,11 @@
 
 The global force residual is assembled in two parts.  A voxel whose six
 tets are all regular (uncut single-phase) is one 24-dof stencil of its
-phase: the sweep gathers the 8 corner displacements of every such voxel
-once, applies one 24x24 matrix per phase to that phase's voxels and
-scatters the corner forces back once.  The cut and fallback ("special")
+phase.  A flat index built with the caches lists the 24 corner dofs of
+every such voxel, grouped by phase, so the sweep gathers the corner
+displacements with one fancy index, applies one 24x24 matrix per phase to
+that phase's rows and scatters the corner forces back with one
+`np.bincount` over the same index.  The cut and fallback ("special")
 elements, together with the plain tets of their voxels, were summed at
 build time into one block-sparse operator on the dofs they touch, so
 they add their forces with one sparse product on the flat dof vector.
@@ -24,6 +26,7 @@ mesh-stable and consistent with the averaged stress on the right-hand
 side; `System.res_norm` itself returns the raw quadratic form.
 """
 
+import logging
 import time
 from dataclasses import dataclass
 
@@ -31,9 +34,11 @@ import numpy as np
 
 from . import greenop
 from .element import ElementCaches, build_caches
-from .mesh import CORNER_OFFSETS, DofLayout, Grid, build_topology, detect_enrichment
-from .microstructure import sample_nodal
+from .mesh import DofLayout, Grid, build_topology, detect_enrichment
+from .microstructure import check_cell, sample_nodal
 from .voigt import MaterialIso, iso_stiffness, stiffness_bounds
+
+log = logging.getLogger(__name__)
 
 ZERO6 = np.zeros(6)
 
@@ -136,6 +141,8 @@ class System:
         self.symbol = symbol
         self.stiffness = np.asarray(stiffness, dtype=float)
         self.c_minus, self.c_plus = stiffness_bounds(list(self.stiffness))
+        # summing a phase's rows as ones @ rows is one BLAS call
+        self._ones = np.ones(len(caches.voxel_dofs))
 
     def zeros(self) -> DofVector:
         return DofVector.zeros(self.layout)
@@ -155,20 +162,21 @@ class System:
     def _sweep(self, u: DofVector, eps_bar, want_force=True):
         """One pass over the regular voxels plus the special-element operator.
 
-        Returns (force residual or None, volume-integrated stress (6,)).
+        The regular voxels' corner dofs are gathered and their forces
+        scattered back through the flat index `voxel_dofs`, one phase block
+        of rows per 24x24 stencil.  Returns (force residual or None,
+        volume-integrated stress (6,)).
         """
         c = self.caches
         eps_bar = np.asarray(eps_bar, dtype=float)
-        order, bounds = c.voxel_order, c.voxel_bounds
-        # the 24 corner dofs of every regular voxel, grouped by phase
-        uc = _corner_gather(u.grid, CORNER_OFFSETS)
-        ue = uc.reshape(8, -1, 3).transpose(1, 0, 2)[order].reshape(-1, 24)
+        idx, bounds = c.voxel_dofs, c.voxel_bounds
+        ue = u.data[idx]
         fe = np.empty_like(ue) if want_force else None
         loaded = want_force and eps_bar.any()
         sig_total = c.total_cv @ eps_bar
         for p in range(len(c.stiffness)):
             rows = slice(bounds[p], bounds[p + 1])
-            sig_total += c.voxel_s[p] @ ue[rows].sum(axis=0)
+            sig_total += c.voxel_s[p] @ (self._ones[rows] @ ue[rows])
             if want_force:
                 np.matmul(ue[rows], c.voxel_k[p].T, out=fe[rows])
             if loaded:
@@ -178,10 +186,7 @@ class System:
         sig_total += us @ c.special_load
         if not want_force:
             return None, sig_total
-        fc = np.zeros_like(uc)
-        fc.reshape(8, -1, 3)[:, order] = fe.reshape(-1, 8, 3).transpose(1, 0, 2)
-        r = self.zeros()
-        _corner_scatter(r.grid, CORNER_OFFSETS, fc)
+        r = u.like(np.bincount(idx.ravel(), fe.ravel(), minlength=u.data.size))
         r.data[c.special_dofs] += c.special_k @ us + c.special_load @ eps_bar
         return r, sig_total
 
@@ -243,6 +248,7 @@ def build_system(
     if mode not in ("xfem", "p1"):
         raise ValueError(f"unknown discretization {mode!r}")
     check_phases(assembly, len(materials))
+    check_cell(assembly, grid.lengths)
     topo = build_topology()
     stiffness = np.array(
         [
@@ -297,6 +303,7 @@ class _Run:
         sig_norm = float(np.linalg.norm(sigma))
         rel = res / sig_norm if sig_norm > 0 else np.inf
         self.history.append((k, res, rel, time.perf_counter() - self.t0))
+        log.debug("%s iteration %d: res %.3e, res/|<sigma>| %.3e", self.config.scheme, k, res, rel)
 
     def done(self, res_raw, sigma) -> bool:
         res = res_raw * self.inv_vol

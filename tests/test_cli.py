@@ -299,3 +299,37 @@ def test_cli_summary_reports_thread_settings(tmp_path):
             assert blas is None or (isinstance(blas, int) and blas >= 1)
     finally:
         greenop.set_fft_workers(before)
+
+
+def test_sphere_reaching_half_the_cell_rejected(tmp_path):
+    union = {
+        "type": "sphere_union",
+        "spheres": [{"center": [4, 8, 8], "radius": 2.0}, {"center": [9, 8, 8], "radius": 8.0}],
+        "inside": "m",
+        "outside": "m",
+    }
+    with pytest.raises(ConfigError, match=r"geometry: region 0: sphere radius 8 must be below"):
+        RunConfig(minimal_config(geometry=[union]))
+    p = tmp_path / "large.json"
+    p.write_text(json.dumps(minimal_config(geometry=[union])))
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
+
+
+def test_cli_threads_set_openblas_threads(tmp_path):
+    from xfft import greenop
+    from xfft.cli import openblas_threads, set_openblas_threads
+
+    before = (greenop.fft_workers(), openblas_threads())
+    if before[1] is None:
+        pytest.skip("numpy's bundled OpenBLAS is not reachable")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(minimal_config()))
+    try:
+        for threads in (2, 1):
+            argv = ["--threads", str(threads), "solve", "--config", str(p), "--out", str(tmp_path)]
+            assert main(argv) == EXIT_OK
+            summary = json.loads((tmp_path / "summary.json").read_text())
+            assert summary["fft_workers"] == summary["openblas_threads"] == threads
+    finally:
+        greenop.set_fft_workers(before[0])
+        set_openblas_threads(before[1])

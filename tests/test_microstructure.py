@@ -197,3 +197,23 @@ def test_plane_rejects_normal_off_axis(normal):
     with pytest.raises(ValueError, match="axis"):
         Plane(point=(0.0, 0.0, 0.0), normal=normal)
     Plane(point=(0.0, 0.0, 0.0), normal=(0.0, -2.0, 0.0))  # any axis, any length
+
+
+def test_sphere_reaching_half_the_cell_rejected():
+    from xfft.solver import build_system
+    from xfft.voigt import MaterialIso
+
+    mats = [MaterialIso(1.0, 0.3), MaterialIso(2.0, 0.3)]
+    grid = Grid((4, 4, 4), (16.0, 16.0, 10.0))
+    small = Sphere((8.0, 8.0, 5.0), 2.0)
+    for shape in (
+        Sphere((8.0, 8.0, 5.0), 5.0),  # half the shortest axis
+        Sphere((8.0, 8.0, 5.0), 7.0),  # below half of the two long axes only
+        SphereUnion((small, Sphere((4.0, 4.0, 5.0), 6.0))),
+    ):
+        for mode in ("xfem", "p1"):
+            with pytest.raises(ValueError, match="region 1: sphere radius"):
+                build_system(
+                    PhaseAssembly([Region(small, 1, 0), Region(shape, 1, 0)]), grid, mats, mode=mode
+                )
+    build_system(PhaseAssembly([Region(Sphere((8.0, 8.0, 5.0), 4.99), 1, 0)]), grid, mats)

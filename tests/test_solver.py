@@ -401,3 +401,62 @@ def test_results_bitwise_equal_for_one_and_two_fft_workers():
     assert np.array_equal(one.sigma, two.sigma)
     # (iteration, res, res_rel) rows; the wall time differs
     assert [row[:3] for row in one.history] == [row[:3] for row in two.history]
+
+
+def test_results_bitwise_equal_for_one_and_two_openblas_threads():
+    from xfft.cli import openblas_threads, set_openblas_threads
+
+    before = openblas_threads()
+    if before is None:
+        pytest.skip("numpy's bundled OpenBLAS is not reachable")
+    system, _ = hashin_system(8, store_quadrature=False)
+    config = SolverConfig(scheme="lcg", tol=1e-10, maxit=200)
+    runs = []
+    try:
+        for threads in (1, 2):
+            set_openblas_threads(threads)
+            assert openblas_threads() == threads
+            runs.append(run_lcg(system, config, EPS_HYDRO))
+    finally:
+        set_openblas_threads(before)
+    one, two = runs
+    assert one.converged and one.iterations == two.iterations
+    assert np.array_equal(one.sigma, two.sigma)
+    assert [row[:3] for row in one.history] == [row[:3] for row in two.history]
+
+
+def test_progress_logged_once_per_iteration_at_debug(caplog):
+    import logging
+
+    system, _ = hashin_system(8, store_quadrature=False)
+    with caplog.at_level(logging.DEBUG, logger="xfft.solver"):
+        res = run_lcg(system, SolverConfig(scheme="lcg", tol=1e-10, maxit=200), EPS_HYDRO)
+    records = [r for r in caplog.records if r.name == "xfft.solver"]
+    # one record per history row: iterations 0 .. res.iterations
+    assert len(records) == len(res.history) == res.iterations + 1
+    assert all(r.levelno == logging.DEBUG for r in records)
+    assert all(f"lcg iteration {k}:" in r.getMessage() for k, r in enumerate(records))
+    assert not [r for r in caplog.records if r.levelno >= logging.INFO]
+
+
+def test_voxel_index_on_non_cubic_grid_matches_dense_assembly():
+    # distinct voxel counts and lengths per axis: swapping two axes or two
+    # corner slots of the voxel dof index changes the residual
+    assembly = PhaseAssembly([Region(Sphere((5.0, 7.0, 9.0), 5.5), 1, 0)], 0)
+    mats = [MaterialIso(1.0, 0.3), MaterialIso(10.0, 0.25)]
+    system = build_system(assembly, Grid((4, 5, 6), (12.0, 15.0, 18.0)), mats)
+    c = system.caches
+    assert c.voxel_dofs.dtype == np.intp and c.voxel_dofs.shape[1] == 24
+    assert np.all(np.diff(c.voxel_bounds) > 0) and len(c.special_dofs) > 0
+    a, bmat = dense_system(system, assembly)
+    rng = np.random.default_rng(456)
+    for _ in range(2):
+        u = system.zeros()
+        u.data[:] = rng.standard_normal(u.data.shape)
+        eps = rng.standard_normal(6)
+        r_dense = a @ flatten_dofs(u) + bmat @ eps
+        r = system.residual(u, eps)
+        assert np.allclose(flatten_dofs(r), r_dense, rtol=1e-12, atol=1e-12 * np.abs(r_dense).max())
+        sigma = system.average_stress(u, eps)
+        expect = (bmat.T @ flatten_dofs(u) + c.total_cv @ eps) / system.grid.volume
+        assert np.allclose(sigma, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
