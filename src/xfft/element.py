@@ -1,5 +1,5 @@
 """P1 element kernels: shape gradients, interface enrichment, cut-cell
-quadrature and cached element matrices.
+quadrature and the assembly of the cell's operator.
 
 Element degrees of freedom are ordered node-major, component-minor: slots
 0..11 hold the four standard nodal displacements, slots 12..23 (enriched
@@ -21,6 +21,13 @@ the enriched rows Bx vary over the quadrature points.  The standard blocks
 enriched load factor g^T therefore come from two sums per element,
 cv = sum_q w_q C_q and g = sum_q w_q C_q Bx_q; only the enriched block
 A_xx = sum_q Bx_q^T w_q C_q Bx_q is formed point by point.
+
+No element matrix is kept.  Uncut voxels share one 24-dof stencil per
+phase.  Cut elements are assembled a chunk at a time, and each chunk is
+summed into the block-sparse "special" operator before the next one is
+formed; the internal scaling, a per-dof factor, is applied once to the
+sum.  Tests and diagnostics that want a cut element's matrices or the
+quadrature record get them recomputed on first access.
 """
 
 from dataclasses import dataclass, field
@@ -320,9 +327,8 @@ class ElementCaches:
 
     Uncut single-phase ("regular") elements share the strain-displacement
     matrix of their tet type and the stiffness of their phase, `ptype`.
-    Cut elements carry individual 24x24 matrices, multi-interface fallback
-    elements individual 12x12 ones; together they are the "special"
-    elements, and `ptype` is -1 there.
+    Cut elements (24 dofs) and multi-interface fallback elements (12 dofs)
+    are the "special" elements, and `ptype` is -1 there.
 
     A voxel whose six tets are all regular has one phase, `voxel_phase`,
     and is applied as one 24-dof stencil (slot 3 * corner + component):
@@ -340,10 +346,18 @@ class ElementCaches:
     `voxel_phase` -1 are summed once into one operator on the flat dof
     vector (grid dofs node-major, then enriched dofs): `special_dofs` lists
     the sorted dofs they touch, `special_k` is the summed stiffness over
-    those dofs (block-sparse, 3x3 node blocks), `special_load` the summed
-    load map sum_e L_e^T Bfac_e, whose transpose maps the touched dofs to
-    volume-integrated stress, and `special_cv` the summed volume-integrated
-    stiffness of all these elements; `total_cv` sums it over every element.
+    those dofs (block-sparse, 3x3 node blocks) and `special_load` the
+    summed load map sum_e L_e^T Bfac_e, whose transpose maps the touched
+    dofs to volume-integrated stress.  `total_cv` is the volume-integrated
+    stiffness summed over every element.
+
+    No cut element keeps its matrices: `cut_a` and `cut_bfac` (internally
+    scaled, as summed into `special_k`) are recomputed from `cut_levels`,
+    `cut_phases` and `cut_scale` on first access, and so are the
+    quadrature records `cut_qp`/`cut_qw` (zero-padded to 24 points) and
+    `mi_qp`/`mi_qw`.  Each is kept once computed, and `nbytes` counts it
+    from then on.  The fallback elements are few and keep `mi_a` and
+    `mi_bfac`.
     """
 
     grid: Grid
@@ -367,40 +381,32 @@ class ElementCaches:
     cut_enr: np.ndarray  # (n_cut, 4) enriched slots
     cut_region: np.ndarray
     cut_levels: np.ndarray  # (n_cut, 4) nodal values of the cutting interface
+    cut_phases: np.ndarray  # (n_cut, 2) int8 phase on the + and - side
     cut_scale: np.ndarray  # (n_cut, 4, 3) applied internal scaling
-    cut_a: np.ndarray  # (n_cut, 24, 24)
-    cut_bfac: np.ndarray  # (n_cut, 24, 6)
-    cut_cv: np.ndarray  # (n_cut, 6, 6)
     # multi-interface fallback elements (assembled without enrichment)
     mi_ttype: np.ndarray
     mi_voxel: np.ndarray
     mi_nodes: np.ndarray
-    mi_a: np.ndarray
-    mi_bfac: np.ndarray
-    mi_cv: np.ndarray
+    mi_a: np.ndarray  # (n_mi, 12, 12)
+    mi_bfac: np.ndarray  # (n_mi, 12, 6)
     # the special elements summed into one operator
     special_dofs: np.ndarray  # (n_touched,) sorted flat dof indices
     special_k: scipy.sparse.bsr_matrix  # (n_touched, n_touched)
     special_load: np.ndarray  # (n_touched, 6)
-    special_cv: np.ndarray  # (6, 6) over the special and plain elements
     # internal scaling diagnostics
     d0: np.ndarray  # (n_x, 3)
     scale: np.ndarray  # (n_x, 3); zero marks a dropped enriched dof
     n_dropped_dofs: int
     n_conflict_nodes: int
-    # optional quadrature record (zero-padded weights)
-    cut_qp: np.ndarray | None = None
-    cut_qw: np.ndarray | None = None
-    mi_qp: np.ndarray | None = None
-    mi_qw: np.ndarray | None = None
     _slot_maps: dict = field(default_factory=dict, repr=False)
+    _derived: dict = field(default_factory=dict, repr=False)
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the cached arrays, the special operator's included."""
         k = self.special_k
         arrays = [v for v in vars(self).values() if isinstance(v, np.ndarray)]
-        arrays += [k.data, k.indices, k.indptr]
+        arrays += [k.data, k.indices, k.indptr, *self._derived.values()]
         return sum(a.nbytes for a in arrays)
 
     @property
@@ -410,6 +416,82 @@ class ElementCaches:
     @property
     def n_mi(self):
         return len(self.mi_ttype)
+
+    def _memo(self, names, compute):
+        if names[0] not in self._derived:
+            self._derived.update(zip(names, compute()))
+        return [self._derived[n] for n in names]
+
+    @property
+    def cut_a(self) -> np.ndarray:
+        """(n_cut, 24, 24) internally scaled cut element stiffnesses."""
+        return self._memo(("cut_a", "cut_bfac"), self._scaled_cut_matrices)[0]
+
+    @property
+    def cut_bfac(self) -> np.ndarray:
+        """(n_cut, 24, 6) internally scaled cut element load factors."""
+        return self._memo(("cut_a", "cut_bfac"), self._scaled_cut_matrices)[1]
+
+    @property
+    def cut_qp(self) -> np.ndarray:
+        """(n_cut, 24, 3) quadrature points of the cut elements."""
+        return self._memo(("cut_qp", "cut_qw"), self._cut_quadrature)[0]
+
+    @property
+    def cut_qw(self) -> np.ndarray:
+        """(n_cut, 24) quadrature weights, zero on padding points."""
+        return self._memo(("cut_qp", "cut_qw"), self._cut_quadrature)[1]
+
+    @property
+    def mi_qp(self) -> np.ndarray:
+        """(n_mi, 4, 3) quadrature points of the fallback elements."""
+        return self._memo(("mi_qp", "mi_qw"), self._mi_quadrature)[0]
+
+    @property
+    def mi_qw(self) -> np.ndarray:
+        """(n_mi, 4) quadrature weights of the fallback elements."""
+        return self._memo(("mi_qp", "mi_qw"), self._mi_quadrature)[1]
+
+    def _scaled_cut_matrices(self):
+        a = np.empty((self.n_cut, 24, 24))
+        bfac = np.empty((self.n_cut, 24, 6))
+        for t, code, ch in _cut_chunks(self.cut_ttype, self.cut_levels):
+            a[ch], bfac[ch] = _cut_matrices(
+                self.cut_levels[ch],
+                self.grads[t],
+                self.b_mats[t],
+                CUT_TEMPLATES[code],
+                self.stiffness[self.cut_phases[ch, 0]],
+                self.stiffness[self.cut_phases[ch, 1]],
+                self.tet_volume,
+            )[:2]
+        sc = self.cut_scale.reshape(-1, 12)
+        a[:, 12:, :] *= sc[:, :, None]
+        a[:, :, 12:] *= sc[:, None, :]
+        bfac[:, 12:, :] *= sc[:, :, None]
+        return a, bfac
+
+    def _cut_quadrature(self):
+        h = np.asarray(self.grid.h)
+        qp = np.zeros((self.n_cut, 24, 3))
+        qw = np.zeros((self.n_cut, 24))
+        for t, code, ch in _cut_chunks(self.cut_ttype, self.cut_levels):
+            ratio, lam_q, _ = _subtet_points(self.cut_levels[ch], CUT_TEMPLATES[code])
+            pos = np.einsum("msqb,bv->msqv", lam_q, tet_vertices(self.topo, self.grid, t))
+            pos = pos + self.cut_voxel[ch, None, None, :] * h
+            n_q = 4 * ratio.shape[1]
+            qp[ch, :n_q] = pos.reshape(len(ch), -1, 3)
+            qw[ch, :n_q] = np.repeat(self.tet_volume * ratio / 4.0, 4, axis=1)
+        return qp, qw
+
+    def _mi_quadrature(self):
+        h = np.asarray(self.grid.h)
+        qp = np.empty((self.n_mi, 4, 3))
+        for t in range(6):
+            sel = self.mi_ttype == t
+            verts = tet_vertices(self.topo, self.grid, t)
+            qp[sel] = SH_BARY @ verts + self.mi_voxel[sel, None, :] * h
+        return qp, np.full((self.n_mi, 4), self.tet_volume / 4.0)
 
     def slot_map(self, kind):
         """(6, N1, N2, N3) element -> index into cut_*/mi_* arrays (-1 none)."""
@@ -438,11 +520,36 @@ def _node_ids(voxels, offsets, n):
     )
 
 
+def _voxel_dofs(voxels, n):
+    """Dofs (m, 24) intp of the 8 corners of the voxels with flat ids `voxels`.
+
+    Column 3 * corner + component holds 3 * node + component, with the
+    corners in `CORNER_OFFSETS` order.  The node id is separable,
+    ((i + a) % N1 * N2 + (j + b) % N2) * N3 + (k + c) % N3, so it is summed
+    from two wrapped terms per axis, one corner at a time.
+    """
+    n1, n2, n3 = n
+    i, j, k = np.unravel_index(voxels, n)
+    terms = [
+        [3 * n2 * n3 * ((i + a) % n1) for a in (0, 1)],
+        [3 * n3 * ((j + b) % n2) for b in (0, 1)],
+        [3 * ((k + c) % n3) for c in (0, 1)],
+    ]
+    del i, j, k
+    dofs = np.empty((len(voxels), 24), dtype=np.intp)
+    for corner, (a, b, c) in enumerate(CORNER_OFFSETS):
+        base = terms[0][a] + terms[1][b] + terms[2][c]
+        for comp in range(3):
+            dofs[:, 3 * corner + comp] = base + comp
+    return dofs
+
+
 def _resolve_side_phases(assembly, sign_matrix, cut_index):
     """Phase on the +/- side of the cutting interface of each element.
 
     sign_matrix (m, n_regions) holds the (node-constant) sign of every
     non-cutting region; column `cut_index[e]` is overridden by the side.
+    Returns (m, 2) int8: the + side's phase, then the - side's.
     """
     m = sign_matrix.shape[0]
     phases = np.empty((m, 2), dtype=np.int8)
@@ -455,7 +562,22 @@ def _resolve_side_phases(assembly, sign_matrix, cut_index):
             out[take] = reg.inside_phase
             undecided &= ~take
         phases[:, col] = out
-    return phases[:, 0], phases[:, 1]
+    return phases
+
+
+def _subtet_points(levels, template):
+    """Quadrature of all elements of one (type, pattern) group.
+
+    Returns the subtet volume fractions (m, S), the parent barycentric
+    coordinates of the quadrature points (m, S, 4, 4) and the subtet sides
+    (S,).
+    """
+    sides = np.array([s for _, s in template])
+    bary = _template_bary(template, levels)
+    ratio = np.abs(np.linalg.det(bary))
+    ratio[ratio < DEGENERATE_REL_VOLUME] = 0.0
+    ratio /= ratio.sum(axis=1, keepdims=True)
+    return ratio, SH_BARY @ bary, sides
 
 
 def _group_geometry(levels, grads, template):
@@ -465,12 +587,7 @@ def _group_geometry(levels, grads, template):
     coordinates of the quadrature points (m, S, 4, 4), unscaled enriched
     gradients (m, S, 4, 4, 3) and the subtet sides (S,).
     """
-    sides = np.array([s for _, s in template])
-    bary = _template_bary(template, levels)
-    ratio = np.abs(np.linalg.det(bary))
-    ratio[ratio < DEGENERATE_REL_VOLUME] = 0.0
-    ratio /= ratio.sum(axis=1, keepdims=True)
-    lam_q = SH_BARY @ bary
+    ratio, lam_q, sides = _subtet_points(levels, template)
     coef = np.abs(levels)[:, None, :] - sides[None, :, None] * levels[:, None, :]
     rho = lam_q @ coef[..., None]  # (m, S, 4, 1)
     grho = coef @ grads  # (m, S, 3)
@@ -515,54 +632,126 @@ def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet):
 _CHUNK = 512
 
 
-def _assemble_special(parts):
-    """Sum the special elements' matrices into one operator.
+def _cut_chunks(ttype, levels):
+    """Chunks (t, code, index) of at most `_CHUNK` cut elements sharing
+    their tet type t and sign pattern code (bit i set <=> levels[:, i] > 0)."""
+    pattern = ((levels > 0) << np.arange(4)).sum(axis=1)
+    for t in range(6):
+        for code in range(1, 15):
+            sel = np.nonzero((ttype == t) & (pattern == code))[0]
+            for lo in range(0, len(sel), _CHUNK):
+                yield t, code, sel[lo : lo + _CHUNK]
 
-    `parts` holds (nodes (m, k), a (m, 3k, 3k), bfac (m, 3k, 6)) per kind
-    of element (cut, fallback, plain); node ids run over [grid nodes,
-    enriched slots].
-    Node blocks are summed by key with `np.bincount`, which needs far less
-    memory than a COO matrix of every element entry.  Returns the sorted
-    dofs touched, the block-sparse stiffness over them and the load map.
+
+def _pair_entries(k):
+    """Indices (9, k (k + 1) / 2) into a flattened (3k, 3k) element matrix:
+    row 3 p + q holds entry (p, q) of the blocks of the node pairs l <= l',
+    in `np.triu_indices(k)` order."""
+    il, jl = np.triu_indices(k)
+    p, q = np.divmod(np.arange(9)[:, None], 3)
+    return 3 * k * (3 * il + p) + 3 * jl + q
+
+
+class _SpecialSum:
+    """The special operator, summed element chunk by chunk.
+
+    Built from the node ids (m, k) of every kind of special element, ids
+    running over [grid nodes, enriched slots] (`n_ids` in all), so that
+    its blocks are known before any element matrix is.  An element matrix
+    is symmetric and its k nodes are distinct, so only its node-pair
+    blocks l <= l' are added, and a key (I, I) comes from l = l' alone:
+    `operator` adds the transposed sum at (J, I) to each block (I, J),
+    I != J.  The sums are kept as 9 planes, one per block entry (p, q),
+    so that each `np.add.at` works in one small array.
     """
-    touched = np.unique(np.concatenate([nodes.ravel() for nodes, _, _ in parts]))
-    nt = len(touched)
-    local = [np.searchsorted(touched, nodes) for nodes, _, _ in parts]
 
-    # distinct block keys row * nt + col, and the index of each element
-    # block among them (np.unique would hold several more arrays this size)
-    keys = np.concatenate([(loc[:, :, None] * nt + loc[:, None, :]).ravel() for loc in local])
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.concatenate([keys[:1] == keys[:1], keys[1:] != keys[:-1]])
-    keys = keys[first]
-    rank = np.cumsum(first)
-    rank -= 1
-    inv = np.empty_like(rank)
-    inv[order] = rank
-    del order, rank  # freed before the blocks are allocated
+    def __init__(self, nodes, n_ids):
+        touched = np.zeros(n_ids, dtype=bool)
+        for n in nodes:
+            touched[n] = True
+        local_id = np.cumsum(touched) - 1
+        self.touched = np.flatnonzero(touched)
+        self.local = [local_id[n] for n in nodes]
+        nt = len(self.touched)
 
-    blocks = np.empty((len(keys), 3, 3))
-    entry = np.empty(len(inv))
-    for p, q in np.ndindex(3, 3):
-        lo = 0
-        for loc, (_, a, _) in zip(local, parts):
-            m, k = loc.shape
-            a = a.reshape(m, k, 3, k, 3)
-            entry[lo : lo + m * k * k].reshape(m, k, k)[:] = a[:, :, p, :, q]
-            lo += m * k * k
-        blocks[:, p, q] = np.bincount(inv, entry, minlength=len(keys))
-    del inv, entry
-    rows, cols = np.divmod(keys, nt)
-    indptr = np.searchsorted(rows, np.arange(nt + 1))
-    k_mat = scipy.sparse.bsr_matrix((blocks, cols, indptr), shape=(3 * nt, 3 * nt))
+        # distinct keys row * nt + col of the pairs l <= l', and the index
+        # of each pair among them; each temporary is freed once used
+        flat, shapes = [], []
+        for loc in self.local:
+            il, jl = np.triu_indices(loc.shape[1])
+            flat.append((loc[:, il] * nt + loc[:, jl]).ravel())
+            shapes.append((len(loc), len(il)))
+        flat = np.concatenate(flat)
+        order = np.argsort(flat)
+        flat = flat[order]
+        first = np.concatenate([flat[:1] == flat[:1], flat[1:] != flat[:-1]])
+        hkeys = flat[first]
+        del flat
+        rank = np.cumsum(first)
+        rank -= 1
+        del first
+        inv = np.empty_like(rank)
+        inv[order] = rank
+        del order, rank
 
-    slots = np.concatenate([(3 * loc[..., None] + np.arange(3)).ravel() for loc in local])
-    load = np.empty((3 * nt, 6))
-    for d in range(6):
-        entry = np.concatenate([bfac[..., d].ravel() for _, _, bfac in parts])
-        load[:, d] = np.bincount(slots, entry, minlength=3 * nt)
-    return (3 * touched[:, None] + np.arange(3)).ravel(), k_mat, load
+        # every transposed key is a block of the operator too
+        rows, cols = np.divmod(hkeys, nt)
+        keys = np.concatenate([hkeys, cols * nt + rows])
+        del rows, cols
+        keys.sort()
+        self.keys = keys[np.concatenate([keys[:1] == keys[:1], keys[1:] != keys[:-1]])]
+        inv = np.searchsorted(self.keys, hkeys)[inv]
+        parts = np.split(inv, np.cumsum([m * n for m, n in shapes])[:-1])
+        self.inv = [p.reshape(shape) for p, shape in zip(parts, shapes)]
+        self.planes = np.zeros((9, len(self.keys)))
+        self.load = np.zeros(18 * nt)
+
+    def add(self, kind, sel, a, bfac):
+        """Add the matrices a (m, 3k, 3k) and bfac (m, 3k, 6) of the elements
+        `sel` of kind `kind`."""
+        loc, inv = self.local[kind][sel], self.inv[kind][sel]
+        m, k = loc.shape
+        entries = a.reshape(m, 9 * k * k).T[_PAIR_ENTRIES[k]]  # (9, n_pairs, m)
+        inv = inv.T.ravel()
+        for plane, e in zip(self.planes, entries):
+            np.add.at(plane, inv, e.ravel())
+        np.add.at(self.load, (18 * loc[:, :, None] + np.arange(18)).ravel(), bfac.ravel())
+
+    def operator(self, node_scale):
+        """Sorted dofs, BSR stiffness and load map, rows and columns scaled
+        by `node_scale` (n_touched, 3).  Adds no more elements afterwards."""
+        del self.local, self.inv
+        nt = len(self.touched)
+        rows, cols = np.divmod(self.keys, nt)
+        # mirror[i]: the position of key i's transpose
+        mirror = np.empty_like(rows)
+        mirror[np.argsort(cols * nt + rows)] = np.arange(len(rows))
+        diag = np.flatnonzero(rows == cols)
+        planes = self.planes
+        # K_IJ = S_IJ + S_JI^T, I != J: entry (p, q) gains the mirrored (q, p)
+        for p, q in zip(*np.triu_indices(3)):
+            pq, qp = planes[3 * p + q], planes[3 * q + p]
+            from_qp, from_pq = qp[mirror], pq[mirror]
+            from_qp[diag] = from_pq[diag] = 0.0
+            pq += from_qp
+            if p != q:
+                qp += from_pq
+        del mirror, from_qp, from_pq
+        node_scale = np.ascontiguousarray(node_scale.T)
+        for p, q in np.ndindex(3, 3):
+            planes[3 * p + q] *= node_scale[p][rows]
+            planes[3 * p + q] *= node_scale[q][cols]
+        blocks = np.ascontiguousarray(planes.T).reshape(-1, 3, 3)
+        del planes, self.planes
+        indptr = np.searchsorted(rows, np.arange(nt + 1))
+        k_mat = scipy.sparse.bsr_matrix((blocks, cols, indptr), shape=(3 * nt, 3 * nt))
+        load = self.load.reshape(nt, 3, 6)
+        load *= node_scale.T[:, :, None]
+        dofs = (3 * self.touched[:, None] + np.arange(3)).ravel()
+        return dofs, k_mat, load.reshape(3 * nt, 6)
+
+
+_PAIR_ENTRIES = {k: _pair_entries(k) for k in (4, 8)}
 
 
 def build_caches(
@@ -573,16 +762,23 @@ def build_caches(
     nodal: np.ndarray,
     stiffness,
     mode: str = "xfem",
-    store_quadrature: bool = True,
+    store_quadrature: bool = False,
 ) -> ElementCaches:
-    """Assemble all per-element matrices of the cell.
+    """Assemble the cell's operator: voxel stencils and the special operator.
 
     Regular voxels get per-phase 24-dof stencils; the cut and fallback
     ("special") elements and the plain tets of their voxels are summed into
-    one operator, see `ElementCaches`.  `mode` "p1" disables enrichment
-    entirely: every element is assembled as an uncut single-phase element
-    with the base phase of its voxel (from the level-set signs at the
-    voxel's (0,0,0) corner).
+    one operator, see `ElementCaches`.  The operator's block pattern comes
+    from node ids alone, so it is set up first; the cut elements are then
+    assembled chunk by chunk and each chunk is added to the block sums
+    unscaled, before the next one is formed.  The internal scaling is a
+    per-dof factor, applied once to the summed operator.
+    `store_quadrature` computes the quadrature record (`cut_qp`, `cut_qw`,
+    `mi_qp`, `mi_qw`) during the build and keeps it; otherwise it is
+    computed on first access.  `mode` "p1" disables enrichment entirely:
+    every element is assembled as an uncut single-phase element with the
+    base phase of its voxel (from the level-set signs at the voxel's
+    (0,0,0) corner).
     """
     stiffness = np.asarray(stiffness, dtype=float)
     n_phase = len(stiffness)
@@ -592,10 +788,8 @@ def build_caches(
 
     grads = np.empty((6, 4, 3))
     b_mats = np.empty((6, 6, 12))
-    verts_t = np.empty((6, 4, 3))
     for t in range(6):
-        verts_t[t] = tet_vertices(topo, grid, t)
-        grads[t] = p1_grads(verts_t[t])
+        grads[t] = p1_grads(tet_vertices(topo, grid, t))
         b_mats[t] = b_matrix(grads[t])
 
     nodal = np.asarray(nodal)
@@ -615,10 +809,11 @@ def build_caches(
         take = undecided & (nodal[r] > 0)
         base[take] = reg.inside_phase
         undecided &= ~take
-    ptype = np.broadcast_to(base, (6,) + nshape).copy()
 
-    # ---- collect cut and fallback elements in canonical (t, voxel) order
-    # ("p1" enriches nothing, so it has no special elements)
+    # ---- structure: cut and fallback elements in canonical (t, voxel)
+    # order ("p1" enriches nothing, so it has no special elements); they
+    # leave the regular pass, and so does every voxel that holds one: its
+    # plain tets join the special operator
     region_map = layout.cut_region
     if mode != "xfem":
         region_map = np.full_like(region_map, -1)
@@ -630,137 +825,99 @@ def build_caches(
     n_cut = len(cut_ttype)
     n_mi = len(mi_ttype)
 
-    caches = dict(
-        cut_ttype=cut_ttype,
-        cut_voxel=cut_voxel,
-        cut_region=cut_region,
-        cut_nodes=np.empty((0, 4), dtype=np.int64),
-        cut_enr=np.empty((0, 4), dtype=np.int64),
-        cut_levels=np.empty((0, 4)),
-        cut_scale=np.empty((0, 4, 3)),
-        cut_a=np.empty((0, 24, 24)),
-        cut_bfac=np.empty((0, 24, 6)),
-        cut_cv=np.empty((0, 6, 6)),
-        mi_ttype=mi_ttype,
-        mi_voxel=mi_voxel,
-    )
+    ptype = np.broadcast_to(base, (6,) + nshape).copy()
+    ptype[cut_ttype, cut_voxel[:, 0], cut_voxel[:, 1], cut_voxel[:, 2]] = -1
+    ptype[mi_ttype, mi_voxel[:, 0], mi_voxel[:, 1], mi_voxel[:, 2]] = -1
+    voxel_phase = np.where((ptype < 0).any(axis=0), np.int8(-1), base)
+    tt, vi, vj, vk = np.nonzero((ptype >= 0) & (voxel_phase < 0))
+    plain_ttype, plain_phase = tt, ptype[tt, vi, vj, vk]
+    plain_nodes = _node_ids(np.stack([vi, vj, vk], axis=1), topo.offsets[tt], nshape)
+    mi_nodes = _node_ids(mi_voxel, topo.offsets[mi_ttype], nshape)
 
-    d0 = np.zeros((layout.n_x, 3))
-    scale = np.zeros((layout.n_x, 3))
-    n_conflict = 0
-    n_dropped = 0
-    qp_store = qw_store = None
-
+    cut_nodes = _node_ids(cut_voxel, topo.offsets[cut_ttype], nshape)
+    cut_enr = layout.enr_index.ravel()[cut_nodes]
     if n_cut:
-        cut_nodes = _node_ids(cut_voxel, topo.offsets[cut_ttype], nshape)
-        enr_flat = layout.enr_index.ravel()
-        cut_enr = enr_flat[cut_nodes]
         flat_nodal = nodal.reshape(nodal.shape[0], -1)
         cut_levels = flat_nodal[cut_region[:, None], cut_nodes]
-
-        # bind each enriched node to the single interface cutting its support;
-        # nodes claimed by two interfaces are dropped (scale stays zero)
-        node_region = np.full(layout.n_x, -1, dtype=np.int16)
-        conflict = np.zeros(layout.n_x, dtype=bool)
-        for r in np.unique(cut_region):
-            slots = np.unique(cut_enr[cut_region == r])
-            taken = node_region[slots]
-            conflict[slots[(taken >= 0) & (taken != r)]] = True
-            node_region[slots] = r
-        n_conflict = int(conflict.sum())
-
         sign_matrix = np.sign(flat_nodal[:, cut_nodes[:, 0]]).T  # (n_cut, n_regions)
-        phase_plus, phase_minus = _resolve_side_phases(
-            assembly, sign_matrix, cut_region
+        cut_phases = _resolve_side_phases(assembly, sign_matrix, cut_region)
+    else:
+        cut_levels = np.empty((0, 4))
+        cut_phases = np.empty((0, 2), dtype=np.int8)
+
+    # bind each enriched node to the single interface cutting its support;
+    # nodes claimed by two interfaces are dropped (scale stays zero)
+    node_region = np.full(layout.n_x, -1, dtype=np.int16)
+    conflict = np.zeros(layout.n_x, dtype=bool)
+    for r in np.unique(cut_region):
+        slots = np.unique(cut_enr[cut_region == r])
+        taken = node_region[slots]
+        conflict[slots[(taken >= 0) & (taken != r)]] = True
+        node_region[slots] = r
+
+    special = _SpecialSum(
+        [np.concatenate([cut_nodes, grid.n_nodes + cut_enr], axis=1), mi_nodes, plain_nodes],
+        grid.n_nodes + layout.n_x,
+    )
+    cv_sum = np.zeros((6, 6))
+
+    # ---- cut elements: the unscaled matrices and the internal scaling
+    # integrals, which need the same enriched gradients, one chunk at a time
+    d0 = np.zeros((layout.n_x, 3))
+    for t, code, ch in _cut_chunks(cut_ttype, cut_levels):
+        a, bfac, cv, d0_e, _, _ = _cut_matrices(
+            cut_levels[ch],
+            grads[t],
+            b_mats[t],
+            CUT_TEMPLATES[code],
+            stiffness[cut_phases[ch, 0]],
+            stiffness[cut_phases[ch, 1]],
+            vol_tet,
         )
+        special.add(0, ch, a, bfac)
+        cv_sum += cv.sum(axis=0)
+        np.add.at(d0, cut_enr[ch], d0_e)
 
-        pattern = ((cut_levels > 0) << np.arange(4)).sum(axis=1)
-        cut_a = np.zeros((n_cut, 24, 24))
-        cut_bfac = np.zeros((n_cut, 24, 6))
-        cut_cv = np.zeros((n_cut, 6, 6))
-        if store_quadrature:
-            qp_store = np.zeros((n_cut, 24, 3))
-            qw_store = np.zeros((n_cut, 24))
+    scale = np.zeros((layout.n_x, 3))
+    alive = d0 >= SCALE_DROP_THRESHOLD
+    scale[alive] = 1.0 / np.sqrt(d0[alive])
+    scale[conflict] = 0.0
+    n_dropped = int((~alive).sum() + (alive & conflict[:, None]).sum())
 
-        # one pass: the unscaled element matrices and the internal scaling
-        # integrals, which need the same enriched gradients
-        for t in range(6):
-            for code in range(1, 15):
-                sel = np.nonzero((cut_ttype == t) & (pattern == code))[0]
-                for lo in range(0, len(sel), _CHUNK):
-                    ch = sel[lo : lo + _CHUNK]
-                    cut_a[ch], cut_bfac[ch], cut_cv[ch], d0_e, w, lam_q = _cut_matrices(
-                        cut_levels[ch],
-                        grads[t],
-                        b_mats[t],
-                        CUT_TEMPLATES[code],
-                        stiffness[phase_plus[ch]],
-                        stiffness[phase_minus[ch]],
-                        vol_tet,
-                    )
-                    np.add.at(d0, cut_enr[ch], d0_e)
-                    if store_quadrature:
-                        pos = np.einsum("msqb,bv->msqv", lam_q, verts_t[t])
-                        pos = pos + cut_voxel[ch, None, None, :] * h
-                        qp_store[ch, : w[0].size] = pos.reshape(len(ch), -1, 3)
-                        qw_store[ch, : w[0].size] = w.reshape(len(ch), -1)
-
-        alive = d0 >= SCALE_DROP_THRESHOLD
-        scale[alive] = 1.0 / np.sqrt(d0[alive])
-        scale[conflict] = 0.0
-        n_dropped = int((~alive).sum() + (alive & conflict[:, None]).sum())
-
-        # internal scaling of the enriched rows and columns
-        cut_scale = scale[cut_enr]
-        sc = cut_scale.reshape(n_cut, 12)
-        cut_a[:, 12:, :] *= sc[:, :, None]
-        cut_a[:, :, 12:] *= sc[:, None, :]
-        cut_bfac[:, 12:, :] *= sc[:, :, None]
-
-        caches.update(
-            cut_nodes=cut_nodes,
-            cut_enr=cut_enr,
-            cut_levels=cut_levels,
-            cut_scale=cut_scale,
-            cut_a=cut_a,
-            cut_bfac=cut_bfac,
-            cut_cv=cut_cv,
-        )
-
-    mi_qp = mi_qw = None
-    mi_nodes = _node_ids(mi_voxel, topo.offsets[mi_ttype], nshape)
+    # ---- fallback elements: the stiffness averaged over their 4 points
     mi_a = np.empty((n_mi, 12, 12))
     mi_bfac = np.empty((n_mi, 12, 6))
-    mi_cv = np.empty((n_mi, 6, 6))
     for t in range(6):
         sel = np.nonzero(mi_ttype == t)[0]
         if not len(sel):
             continue
-        qpos = SH_BARY @ verts_t[t] + mi_voxel[sel, None, :] * h
+        qpos = SH_BARY @ tet_vertices(topo, grid, t) + mi_voxel[sel, None, :] * h
         ph = assembly.phase_at(qpos.reshape(-1, 3), grid.lengths).reshape(-1, 4)
         cbar = stiffness[ph].mean(axis=1)
         mi_a[sel] = vol_tet * np.einsum("ci,mcd,dj->mij", b_mats[t], cbar, b_mats[t])
         mi_bfac[sel] = vol_tet * np.einsum("ci,mcd->mid", b_mats[t], cbar)
-        mi_cv[sel] = vol_tet * cbar
-        if store_quadrature:
-            if mi_qp is None:
-                mi_qp = np.zeros((n_mi, 4, 3))
-                mi_qw = np.zeros((n_mi, 4))
-            mi_qp[sel] = qpos
-            mi_qw[sel] = vol_tet / 4.0
-    caches.update(mi_nodes=mi_nodes, mi_a=mi_a, mi_bfac=mi_bfac, mi_cv=mi_cv)
-
-    # special elements leave the regular pass, and so does every voxel that
-    # holds one: its plain tets join the special operator
-    ptype[cut_ttype, cut_voxel[:, 0], cut_voxel[:, 1], cut_voxel[:, 2]] = -1
-    ptype[mi_ttype, mi_voxel[:, 0], mi_voxel[:, 1], mi_voxel[:, 2]] = -1
-    voxel_phase = np.where((ptype < 0).any(axis=0), np.int8(-1), base)
+        cv_sum += vol_tet * cbar.sum(axis=0)
+    special.add(1, slice(None), mi_a, mi_bfac)
 
     # plain element matrices V B^T C B and load maps V B^T C per (tet, phase),
     # summed over the six tets of a voxel into its 24-dof stencil K_p and
     # stress map S_p (slot 3 * corner + component)
     plain_a = vol_tet * np.einsum("tci,pcd,tdj->tpij", b_mats, stiffness, b_mats)
     plain_bfac = vol_tet * np.einsum("tci,pcd->tpid", b_mats, stiffness)
+    # plain tets in chunks, so that their gathered matrices stay small
+    for lo in range(0, len(plain_ttype), 8 * _CHUNK):
+        ch = slice(lo, lo + 8 * _CHUNK)
+        t_ch, p_ch = plain_ttype[ch], plain_phase[ch]
+        special.add(2, ch, plain_a[t_ch, p_ch], plain_bfac[t_ch, p_ch])
+    n_plain = np.bincount(plain_phase, minlength=n_phase)
+    cv_sum += vol_tet * np.einsum("p,pcd->cd", n_plain, stiffness)
+
+    node_scale = np.ones((len(special.touched), 3))
+    enr = special.touched >= grid.n_nodes
+    node_scale[enr] = scale[special.touched[enr] - grid.n_nodes]
+    special_dofs, special_k, special_load = special.operator(node_scale)
+    del special
+
     voxel_k = np.zeros((n_phase, 24, 24))
     voxel_s = np.zeros((n_phase, 6, 24))
     for t in range(6):
@@ -770,35 +927,10 @@ def build_caches(
     vflat = voxel_phase.ravel()
     voxel_order = np.argsort(vflat, kind="stable")[np.count_nonzero(vflat < 0) :]
     voxel_bounds = np.searchsorted(vflat[voxel_order], np.arange(n_phase + 1))
-    # the 24 corner dofs of every regular voxel, in phase order
-    voxel_nodes = _node_ids(
-        np.stack(np.unravel_index(voxel_order, nshape), axis=1), CORNER_OFFSETS, nshape
-    )
-    voxel_dofs = (3 * voxel_nodes[:, :, None] + np.arange(3)).reshape(-1, 24)
-
-    tt, vi, vj, vk = np.nonzero((ptype >= 0) & (voxel_phase < 0))
-    plain_phase = ptype[tt, vi, vj, vk]
-    plain_nodes = _node_ids(np.stack([vi, vj, vk], axis=1), topo.offsets[tt], nshape)
-    n_plain = np.bincount(plain_phase, minlength=n_phase)
-    special_cv = (
-        caches["cut_cv"].sum(axis=0)
-        + caches["mi_cv"].sum(axis=0)
-        + vol_tet * np.einsum("p,pcd->cd", n_plain, stiffness)
-    )
     n_regular = 6 * np.diff(voxel_bounds)
-    total_cv = vol_tet * np.einsum("p,pcd->cd", n_regular, stiffness) + special_cv
-    cut_dof_nodes = np.concatenate(
-        [caches["cut_nodes"], grid.n_nodes + caches["cut_enr"]], axis=1
-    )
-    special_dofs, special_k, special_load = _assemble_special(
-        [
-            (cut_dof_nodes, caches["cut_a"], caches["cut_bfac"]),
-            (caches["mi_nodes"], caches["mi_a"], caches["mi_bfac"]),
-            (plain_nodes, plain_a[tt, plain_phase], plain_bfac[tt, plain_phase]),
-        ]
-    )
+    total_cv = vol_tet * np.einsum("p,pcd->cd", n_regular, stiffness) + cv_sum
 
-    return ElementCaches(
+    caches = ElementCaches(
         grid=grid,
         topo=topo,
         mode=mode,
@@ -808,25 +940,36 @@ def build_caches(
         tet_volume=vol_tet,
         ptype=ptype,
         voxel_phase=voxel_phase,
-        voxel_dofs=voxel_dofs,
+        # the 24 corner dofs of every regular voxel, in phase order
+        voxel_dofs=_voxel_dofs(voxel_order, nshape),
         voxel_bounds=voxel_bounds,
         voxel_k=voxel_k,
         voxel_s=voxel_s,
         total_cv=total_cv,
+        cut_ttype=cut_ttype,
+        cut_voxel=cut_voxel,
+        cut_nodes=cut_nodes,
+        cut_enr=cut_enr,
+        cut_region=cut_region,
+        cut_levels=cut_levels,
+        cut_phases=cut_phases,
+        cut_scale=scale[cut_enr],
+        mi_ttype=mi_ttype,
+        mi_voxel=mi_voxel,
+        mi_nodes=mi_nodes,
+        mi_a=mi_a,
+        mi_bfac=mi_bfac,
         special_dofs=special_dofs,
         special_k=special_k,
         special_load=special_load,
-        special_cv=special_cv,
         d0=d0,
         scale=scale,
         n_dropped_dofs=n_dropped,
-        n_conflict_nodes=n_conflict,
-        cut_qp=qp_store,
-        cut_qw=qw_store,
-        mi_qp=mi_qp,
-        mi_qw=mi_qw,
-        **caches,
+        n_conflict_nodes=int(conflict.sum()),
     )
+    if store_quadrature:
+        caches.cut_qp, caches.mi_qp  # computed now, and kept
+    return caches
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,8 @@ def quadrature_set(system: System):
     """All quadrature points and weights of the discretized cell.
 
     Uncut elements contribute their four-point rule on the fly; cut and
-    fallback elements use the point sets recorded at assembly time.
+    fallback elements use the caches' quadrature record, which is computed
+    on first access unless the build kept it (`store_quadrature`).
     """
     c = system.caches
     grid, topo = system.grid, system.topo
@@ -171,8 +172,6 @@ def quadrature_set(system: System):
         points.append(qp.reshape(-1, 3))
         weights.append(np.full(4 * len(vox), vol4))
     if c.n_cut:
-        if c.cut_qp is None:
-            raise RuntimeError("caches were built without store_quadrature")
         live = c.cut_qw.ravel() > 0
         points.append(c.cut_qp.reshape(-1, 3)[live])
         weights.append(c.cut_qw.ravel()[live])
@@ -375,7 +374,7 @@ def homogeneous_cell():
     return PhaseAssembly(regions=[], background=0), [MaterialIso(1.5, 0.25)], (16.0,) * 3
 
 
-def hashin_system(n: int, mode: str = "xfem", inclusion_young=None, store_quadrature=True):
+def hashin_system(n: int, mode: str = "xfem", inclusion_young=None, store_quadrature=False):
     assembly, materials, lengths = hashin_cell(inclusion_young)
     grid = Grid(n=(n, n, n), lengths=lengths)
     return build_system(

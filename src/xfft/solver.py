@@ -91,7 +91,9 @@ class DofVector:
         return self.like(self.data.copy())
 
     def dot(self, other) -> float:
-        return float(self.data @ other.data)
+        # einsum calls no BLAS, whose ddot splits the sum by thread: the
+        # result must not depend on the OpenBLAS thread count
+        return float(np.einsum("i,i->", self.data, other.data))
 
     def axpy(self, a: float, other):
         self.data += a * other.data
@@ -242,9 +244,13 @@ def check_phases(assembly, n_materials: int):
 
 
 def build_system(
-    assembly, grid: Grid, materials, mode: str = "xfem", store_quadrature: bool = True
+    assembly, grid: Grid, materials, mode: str = "xfem", store_quadrature: bool = False
 ) -> System:
-    """Discretize a cell: sample geometry, detect enrichment, build caches."""
+    """Discretize a cell: sample geometry, detect enrichment, build caches.
+
+    `store_quadrature` computes the cut and fallback elements' quadrature
+    record during the build and keeps it (see `build_caches`).
+    """
     if mode not in ("xfem", "p1"):
         raise ValueError(f"unknown discretization {mode!r}")
     check_phases(assembly, len(materials))

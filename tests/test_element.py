@@ -482,3 +482,19 @@ def test_cut_kernel_matches_reference_every_pattern():
                 d0_ref = d0_element(verts, levels[e])
                 for got, want in ((a[e], ref.a), (bfac[e], ref.bfac), (cv[e], ref.cv), (d0[e], d0_ref)):
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (t, code)
+
+
+def test_caches_hold_no_cut_element_matrix_until_asked():
+    from xfft.homogenize import hashin_system
+
+    system, _ = hashin_system(8)
+    c = system.caches
+    held = [v for v in vars(c).values() if isinstance(v, np.ndarray)]
+    held += c._derived.values()
+    shapes = {a.shape for a in held}
+    assert c.n_cut and not {(c.n_cut, 24, 24), (c.n_cut, 24, 6)} & shapes
+    before = c.nbytes
+    a, bfac = c.cut_a, c.cut_bfac
+    assert a.shape == (c.n_cut, 24, 24) and bfac.shape == (c.n_cut, 24, 6)
+    assert c.nbytes == before + a.nbytes + bfac.nbytes
+    assert c.cut_a is a  # kept, not recomputed

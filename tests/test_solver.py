@@ -460,3 +460,37 @@ def test_voxel_index_on_non_cubic_grid_matches_dense_assembly():
         sigma = system.average_stress(u, eps)
         expect = (bmat.T @ flatten_dofs(u) + c.total_cv @ eps) / system.grid.volume
         assert np.allclose(sigma, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+
+
+def test_results_bitwise_equal_for_one_and_two_openblas_threads_n16():
+    # above ~10k entries a BLAS dot product splits its sum by thread; at
+    # N=16 the vector products must still not depend on the thread count
+    from xfft.cli import openblas_threads, set_openblas_threads
+
+    before = openblas_threads()
+    if before is None:
+        pytest.skip("numpy's bundled OpenBLAS is not reachable")
+    system, _ = hashin_system(16)
+    config = SolverConfig(scheme="lcg", tol=1e-10, maxit=200)
+    runs = []
+    try:
+        for threads in (1, 2):
+            set_openblas_threads(threads)
+            runs.append(run_lcg(system, config, EPS_HYDRO))
+    finally:
+        set_openblas_threads(before)
+    one, two = runs
+    assert one.converged and one.iterations == two.iterations
+    assert np.array_equal(one.sigma, two.sigma)
+    assert [row[:3] for row in one.history] == [row[:3] for row in two.history]
+
+
+def test_quadrature_set_equal_with_and_without_stored_record(two_spheres_n8):
+    from xfft.homogenize import quadrature_set
+
+    lazy, assembly = two_spheres_n8
+    c = lazy.caches
+    assert (c.n_cut, c.n_mi, c.n_dropped_dofs) == (206, 10, 24)
+    stored = build_system(assembly, lazy.grid, list(c.stiffness), store_quadrature=True)
+    for got, want in zip(quadrature_set(lazy), quadrature_set(stored)):
+        assert np.array_equal(got, want)
