@@ -7,20 +7,24 @@ elements only) the four enriched nodal displacements.  All strain-like
 rows use the Mandel convention of :mod:`xfft.voigt`.
 
 Interfaces inside an element are linearized from the nodal level-set
-values; the resulting subtetrahedra are integrated with the four-point
-symmetric simplex rule, which is degree-2 exact and therefore integrates
-the (at most quadratic) stiffness integrands without error.  Sliver
+values and the element is cut into subtetrahedra on either side.  Sliver
 subtets below 1e-12 of the parent volume are dropped and the remaining
 weights renormalized, since weights at round-off scale destabilize the
-internal scaling factors.
+internal scaling factors.  The per-element reference path integrates each
+subtet with the four-point symmetric simplex rule, which is degree-2 exact
+and therefore integrates the (at most quadratic) stiffness integrands
+without error.
 
-A cut element's matrices follow its block structure.  The strain rows of
-the 12 standard dofs are the constant P1 matrix B of the tet type; only
-the enriched rows Bx vary over the quadrature points.  The standard blocks
-(A_uu = B^T cv B, A_ux = B^T g and the load factor B^T cv) and the
-enriched load factor g^T therefore come from two sums per element,
-cv = sum_q w_q C_q and g = sum_q w_q C_q Bx_q; only the enriched block
-A_xx = sum_q Bx_q^T w_q C_q Bx_q is formed point by point.
+The vectorized path forms a cut element's matrices from moments instead of
+points.  The strain rows of the 12 standard dofs are the constant P1
+matrix B of the tet type, and on either side of the interface the enriched
+gradients are linear in the parent barycentric coordinates lam.  Each side
+therefore enters only through int lam lam^T (4 x 4) and int lam, summed in
+closed form over its subtets; the enriched block A_xx, the enriched load
+factor, the scaling integrals and the integrated stiffness cv follow from
+these moments with a few small products per element, and the standard
+blocks (A_uu = B^T cv B, A_ux and the load factor B^T cv) from cv and the
+enriched load factor.
 
 No element matrix is kept.  Uncut voxels share one 24-dof stencil per
 phase.  Cut elements are assembled a chunk at a time, and each chunk is
@@ -326,9 +330,12 @@ class ElementCaches:
     """Per-element data of one discretized cell.
 
     Uncut single-phase ("regular") elements share the strain-displacement
-    matrix of their tet type and the stiffness of their phase, `ptype`.
-    Cut elements (24 dofs) and multi-interface fallback elements (12 dofs)
-    are the "special" elements, and `ptype` is -1 there.
+    matrix of their tet type and the stiffness of their phase, the
+    `base_phase` of their voxel.  Cut elements (24 dofs) and
+    multi-interface fallback elements (12 dofs) are the "special" elements.
+    `ptype`, the (6, N1, N2, N3) phase of every element with -1 on the
+    special ones, is derived on first access and kept, like the fields
+    recomputed below.
 
     A voxel whose six tets are all regular has one phase, `voxel_phase`,
     and is applied as one 24-dof stencil (slot 3 * corner + component):
@@ -367,7 +374,7 @@ class ElementCaches:
     grads: np.ndarray  # (6, 4, 3) per tet type
     b_mats: np.ndarray  # (6, 6, 12)
     tet_volume: float
-    ptype: np.ndarray  # (6, N1, N2, N3) int8, -1 on special elements
+    base_phase: np.ndarray  # (N1, N2, N3) int8, from the level-set signs at the (0,0,0) corner
     voxel_phase: np.ndarray  # (N1, N2, N3) int8, -1 on voxels with a special element
     voxel_dofs: np.ndarray  # (n_regular_voxels, 24) intp corner dofs, grouped by phase
     voxel_bounds: np.ndarray  # (n_phase + 1,) phase p spans [bounds[p], bounds[p + 1])
@@ -423,6 +430,12 @@ class ElementCaches:
         return [self._derived[n] for n in names]
 
     @property
+    def ptype(self) -> np.ndarray:
+        """(6, N1, N2, N3) int8 phase of every element, -1 on special elements."""
+        special = (self.cut_ttype, self.cut_voxel), (self.mi_ttype, self.mi_voxel)
+        return self._memo(("ptype",), lambda: [_element_phases(self.base_phase, *special)])[0]
+
+    @property
     def cut_a(self) -> np.ndarray:
         """(n_cut, 24, 24) internally scaled cut element stiffnesses."""
         return self._memo(("cut_a", "cut_bfac"), self._scaled_cut_matrices)[0]
@@ -476,7 +489,8 @@ class ElementCaches:
         qp = np.zeros((self.n_cut, 24, 3))
         qw = np.zeros((self.n_cut, 24))
         for t, code, ch in _cut_chunks(self.cut_ttype, self.cut_levels):
-            ratio, lam_q, _ = _subtet_points(self.cut_levels[ch], CUT_TEMPLATES[code])
+            ratio, bary = _subtet_fractions(self.cut_levels[ch], CUT_TEMPLATES[code])
+            lam_q = SH_BARY @ bary  # parent barycentric coordinates of the points
             pos = np.einsum("msqb,bv->msqv", lam_q, tet_vertices(self.topo, self.grid, t))
             pos = pos + self.cut_voxel[ch, None, None, :] * h
             n_q = 4 * ratio.shape[1]
@@ -544,6 +558,15 @@ def _voxel_dofs(voxels, n):
     return dofs
 
 
+def _element_phases(base, *special):
+    """(6, N1, N2, N3) int8 phase of every element: the base phase of its
+    voxel, and -1 on the special elements given as (ttype, voxel) pairs."""
+    ptype = np.broadcast_to(base, (6,) + base.shape).copy()
+    for ttype, voxel in special:
+        ptype[ttype, voxel[:, 0], voxel[:, 1], voxel[:, 2]] = -1
+    return ptype
+
+
 def _resolve_side_phases(assembly, sign_matrix, cut_index):
     """Phase on the +/- side of the cutting interface of each element.
 
@@ -565,68 +588,120 @@ def _resolve_side_phases(assembly, sign_matrix, cut_index):
     return phases
 
 
-def _subtet_points(levels, template):
-    """Quadrature of all elements of one (type, pattern) group.
+def _subtet_ratio(bary):
+    """Volume fractions (...,) of subtets with barycentric vertices (..., 4, 4).
 
-    Returns the subtet volume fractions (m, S), the parent barycentric
-    coordinates of the quadrature points (m, S, 4, 4) and the subtet sides
-    (S,).
+    The determinant of a vertex matrix whose rows sum to one equals the
+    3x3 determinant of its vertex differences, taken here in closed form.
     """
-    sides = np.array([s for _, s in template])
+    d = bary[..., 1:, 1:] - bary[..., :1, 1:]
+    return np.abs(
+        d[..., 0, 0] * (d[..., 1, 1] * d[..., 2, 2] - d[..., 1, 2] * d[..., 2, 1])
+        - d[..., 0, 1] * (d[..., 1, 0] * d[..., 2, 2] - d[..., 1, 2] * d[..., 2, 0])
+        + d[..., 0, 2] * (d[..., 1, 0] * d[..., 2, 1] - d[..., 1, 1] * d[..., 2, 0])
+    )
+
+
+def _subtet_fractions(levels, template):
+    """Kept volume fractions (m, S) and barycentric vertex matrices
+    (m, S, 4, 4) of the subtets of one (type, pattern) group: slivers
+    below `DEGENERATE_REL_VOLUME` are dropped and the rest renormalized."""
     bary = _template_bary(template, levels)
-    ratio = np.abs(np.linalg.det(bary))
+    ratio = _subtet_ratio(bary)
     ratio[ratio < DEGENERATE_REL_VOLUME] = 0.0
     ratio /= ratio.sum(axis=1, keepdims=True)
-    return ratio, SH_BARY @ bary, sides
+    return ratio, bary
 
 
-def _group_geometry(levels, grads, template):
-    """Vectorized quadrature data for all elements of one (type, pattern) group.
+def _stiffness_gathers():
+    """Flat indices into the stacked side stiffnesses (72,) = (2, 6, 6), and
+    weights, of the two tensor forms of C_s that `_cut_matrices` needs.
 
-    Returns the subtet volume fractions (m, S), parent barycentric
-    coordinates of the quadrature points (m, S, 4, 4), unscaled enriched
-    gradients (m, S, 4, 4, 3) and the subtet sides (S,).
+    The Mandel vector of sym(e_c (x) e_a) is w_ac e_r(a, c), with w 1 on the
+    diagonal (r = a) and 1/sqrt(2) off it, so that E^T C_s E and C_s E are
+    gathers of C_s.  Returns the (9, 18) index and weight of
+    K[(c, d), (s, a, b)] = w_ac w_bd C_s[r(a, c), r(b, d)] and the (6, 18)
+    index and weight of X[(s, a), (c, r)] = w_ac C_s[r, r(a, c)].
     """
-    ratio, lam_q, sides = _subtet_points(levels, template)
-    coef = np.abs(levels)[:, None, :] - sides[None, :, None] * levels[:, None, :]
-    rho = lam_q @ coef[..., None]  # (m, S, 4, 1)
-    grho = coef @ grads  # (m, S, 3)
-    gx = rho[..., None] * grads + lam_q[..., None] * grho[:, :, None, None, :]
-    return ratio, lam_q, gx, sides
+    sym = b_matrix(np.eye(3))  # column 3 a + c: Mandel vector of sym(e_c (x) e_a)
+    r = np.abs(sym).argmax(axis=0).reshape(3, 3)
+    w = sym.max(axis=0).reshape(3, 3)
+    c, d, s, a, b = np.indices((3, 3, 2, 3, 3)).reshape(5, 9, 18)
+    k_idx, k_w = 36 * s + 6 * r[a, c] + r[b, d], w[a, c] * w[b, d]
+    s, a, c, rr = np.indices((2, 3, 3, 6)).reshape(4, 6, 18)
+    return k_idx, k_w, 36 * s + 6 * rr + r[a, c], w[a, c]
+
+
+_K_IDX, _K_W, _X_IDX, _X_W = _stiffness_gathers()
 
 
 def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet):
     """Unscaled matrices of a chunk of cut elements of one (type, pattern).
 
-    `c_plus`/`c_minus` (m, 6, 6) are the stiffnesses on either side.  The
-    12 standard dofs share the constant strain matrix B = `b_mat` of the
-    tet type, so with cv = sum_q w_q C_q and g = sum_q w_q C_q Bx_q (Bx_q
-    the enriched strain rows at point q) the blocks
-    A_uu = B^T cv B, A_ux = B^T g, Bfac_u = B^T cv and Bfac_x = g^T need no
-    per-point work.  Only A_xx = sum_q Bx_q^T w_q C_q Bx_q does: one batched
-    matmul over the 6 * 4 * S stacked strain rows of each element.
+    `c_plus`/`c_minus` (m, 6, 6) are the stiffnesses on either side.  On
+    side s the enriched gradients are linear in the parent barycentric
+    coordinates lam: gx_i = sum_b lam_b T_s[b, i], with
+    T_s[b, i] = coef_s[b] grad N_i + delta_bi grad rho_s and
+    coef_s = |L| - s L.  The integrands are therefore quadratic in lam, and
+    each side enters only through its moments Lam_s = int lam lam^T (4 x 4)
+    and Lam1_s = int lam, summed over its subtets.  With M_s = T_s^T Lam_s
+    T_s (12 x 12, index (i, a) of node and gradient component) and
+    K_s = E^T C_s E the (9, 9) tensor form of C_s:
+    A_xx[(i, c), (j, d)] = sum_s sum_ab K_s[(c, a), (d, b)] M_s[(i, a), (j, b)],
+    the enriched load factor is g^T = sum_s Bx(Lam1_s T_s)^T C_s and the
+    scaling integrals of `d0_element` are half the component sum plus the
+    diagonal of M_+ + M_-.  The 12 standard dofs share the constant strain
+    matrix B = `b_mat`, so with cv = sum_s |side s| C_s the load factor is
+    Bfac = [B^T cv; g^T] and the first 12 columns of A are Bfac B.
     Returns a (m, 24, 24), bfac (m, 24, 6), cv (m, 6, 6), the scaling
-    integrals (m, 4, 3) of `d0_element`, the quadrature weights (m, S, 4)
-    and the parent barycentric coordinates of the points (m, S, 4, 4).
+    integrals (m, 4, 3), and the side moments Lam (m, 2, 4, 4) and
+    Lam1 (m, 2, 4), the + side first.
     """
     m = len(levels)
-    ratio, lam_q, gx, sides = _group_geometry(levels, grads, template)
-    ws = vol_tet * ratio / 4.0  # (m, S): the weight of each of a subtet's points
-    wg = np.einsum("ms,msqja->mja", ws, gx**2)
-    d0 = 0.5 * (wg.sum(axis=-1, keepdims=True) + wg)
-    cq = np.where(sides[None, :, None, None] > 0, c_plus[:, None], c_minus[:, None])
-    wc = ws[..., None, None] * cq  # (m, S, 6, 6)
-    cv = 4.0 * wc.sum(axis=1)
-    bx = b_matrix(gx)  # (m, S, 4, 6, 12)
-    wcbx = wc[:, :, None] @ bx
-    g = wcbx.sum(axis=(1, 2))  # (m, 6, 12)
+    side_sign = np.array([[1.0], [-1.0]])  # the + side first
+    ratio, bary = _subtet_fractions(levels, template)
+    n_sub = ratio.shape[1]
+    sides = np.array([s for _, s in template])
+    wr = ratio[:, None, :] * (sides == side_sign)  # (m, 2, S)
+    # subtet k's moments are int lam lam^T = V_k (P^T P + p p^T) / 20 and
+    # int lam = V_k p / 4, P its vertex matrix and p its column sums, so
+    # Lam_s is one weighted product over the stacked rows of P and p
+    colsum = bary.sum(axis=2)  # (m, S, 4)
+    rows = np.concatenate([bary.reshape(m, 4 * n_sub, 4), colsum], axis=1)
+    row_w = np.concatenate([np.repeat(wr, 4, axis=2), wr], axis=2)  # (m, 2, 5S)
+    lam2 = (rows.transpose(0, 2, 1)[:, None] * row_w[:, :, None, :]) @ rows[:, None]
+    lam2 *= vol_tet / 20.0
+    lam1 = (wr @ colsum) * (vol_tet / 4.0)  # (m, 2, 4)
+    side_vol = vol_tet * wr.sum(axis=2)  # (m, 2)
+
+    coef = np.abs(levels)[:, None, :] - side_sign * levels[:, None, :]
+    t_mat = coef[..., None, None] * grads + np.eye(4)[:, :, None] * (coef @ grads)[
+        :, :, None, None, :
+    ]
+    t_mat = t_mat.reshape(m, 2, 4, 12)  # [s, b, (i, a)]
+    mm = (t_mat.transpose(0, 1, 3, 2) @ lam2 @ t_mat).reshape(m, 2, 4, 3, 4, 3)
+
+    c_flat = np.stack([c_plus, c_minus], axis=1).reshape(m, 72)
+    # A_xx as one (9, 18) @ (18, 16) product per element: rows (c, d),
+    # columns (i, j), summed over (s, a, b)
+    kt = c_flat[:, _K_IDX] * _K_W
+    mt = mm.transpose(0, 1, 3, 5, 2, 4).reshape(m, 18, 16)
+    axx = (kt @ mt).reshape(m, 3, 3, 4, 4).transpose(0, 3, 1, 4, 2)
+    # g^T[(i, c), r] = sum_(s, a) (Lam1_s T_s)[i, a] w_ac C_s[r, r(a, c)]
+    h = (lam1[:, :, None, :] @ t_mat).reshape(m, 2, 4, 3).transpose(0, 2, 1, 3)
+    gt = (h.reshape(m, 4, 6) @ (c_flat[:, _X_IDX] * _X_W)).reshape(m, 12, 6)
+
+    dm = np.einsum("msjaja->mja", mm)
+    d0 = 0.5 * (dm.sum(axis=-1, keepdims=True) + dm)
+    cv = side_vol[:, 0, None, None] * c_plus + side_vol[:, 1, None, None] * c_minus
+    bfac = np.empty((m, 24, 6))
+    bfac[:, :12] = (cv.reshape(-1, 6) @ b_mat).reshape(m, 6, 12).transpose(0, 2, 1)
+    bfac[:, 12:] = gt
     a = np.empty((m, 24, 24))
-    a[:, :12, :12] = b_mat.T @ cv @ b_mat
-    a[:, :12, 12:] = b_mat.T @ g
-    a[:, 12:, :12] = a[:, :12, 12:].transpose(0, 2, 1)
-    a[:, 12:, 12:] = bx.reshape(m, -1, 12).transpose(0, 2, 1) @ wcbx.reshape(m, -1, 12)
-    bfac = np.concatenate([b_mat.T @ cv, g.transpose(0, 2, 1)], axis=1)
-    return a, bfac, cv, d0, np.repeat(ws[..., None], 4, axis=-1), lam_q
+    a[:, :, :12] = (bfac.reshape(-1, 6) @ b_mat).reshape(m, 24, 12)
+    a[:, :12, 12:] = a[:, 12:, :12].transpose(0, 2, 1)
+    a[:, 12:, 12:] = axx.reshape(m, 12, 12)
+    return a, bfac, cv, d0, lam2, lam1
 
 
 _CHUNK = 512
@@ -825,12 +900,11 @@ def build_caches(
     n_cut = len(cut_ttype)
     n_mi = len(mi_ttype)
 
-    ptype = np.broadcast_to(base, (6,) + nshape).copy()
-    ptype[cut_ttype, cut_voxel[:, 0], cut_voxel[:, 1], cut_voxel[:, 2]] = -1
-    ptype[mi_ttype, mi_voxel[:, 0], mi_voxel[:, 1], mi_voxel[:, 2]] = -1
+    ptype = _element_phases(base, (cut_ttype, cut_voxel), (mi_ttype, mi_voxel))
     voxel_phase = np.where((ptype < 0).any(axis=0), np.int8(-1), base)
     tt, vi, vj, vk = np.nonzero((ptype >= 0) & (voxel_phase < 0))
     plain_ttype, plain_phase = tt, ptype[tt, vi, vj, vk]
+    del ptype
     plain_nodes = _node_ids(np.stack([vi, vj, vk], axis=1), topo.offsets[tt], nshape)
     mi_nodes = _node_ids(mi_voxel, topo.offsets[mi_ttype], nshape)
 
@@ -938,7 +1012,7 @@ def build_caches(
         grads=grads,
         b_mats=b_mats,
         tet_volume=vol_tet,
-        ptype=ptype,
+        base_phase=base,
         voxel_phase=voxel_phase,
         # the 24 corner dofs of every regular voxel, in phase order
         voxel_dofs=_voxel_dofs(voxel_order, nshape),

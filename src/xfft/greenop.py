@@ -67,36 +67,58 @@ def unit_stencil(grid: Grid, topo: ElementTopology) -> dict:
 
 @dataclass
 class GreenSymbol:
-    """Half-spectrum inverse symbol: (N1, N2, N3//2+1, 3, 3) complex."""
+    """Half-spectrum inverse symbol: (N1, N2, N3//2+1, 3, 3) real symmetric.
+
+    `ghat` is an entry-major view: each `ghat[..., i, j]` is one
+    contiguous plane over the frequencies.
+    """
 
     grid: Grid
     ghat: np.ndarray
 
 
 def build_symbol(grid: Grid, topo: ElementTopology) -> GreenSymbol:
-    """Fourier-diagonalize and invert the constant-coefficient operator."""
+    """Fourier-diagonalize and invert the constant-coefficient operator.
+
+    Every stencil block is symmetric and equals the block at the opposite
+    offset, so the symbol sum_d A_d exp(-i k.d) is real symmetric.  Its
+    phase factor is a product of one factor per axis, so the sum is
+    contracted one axis at a time, the last contraction forms only the
+    real part, and each frequency's 3x3 block is inverted in closed form.
+    """
     n1, n2, n3 = grid.n
     nh = n3 // 2 + 1
-    k1 = np.arange(n1)[:, None, None]
-    k2 = np.arange(n2)[None, :, None]
-    k3 = np.arange(nh)[None, None, :]
-    ahat = np.zeros((n1, n2, nh, 3, 3), dtype=complex)
+    iu = np.triu_indices(3)
+    # upper-triangle entry q of the block at offset (da, db, dc)
+    blocks = np.zeros((6, 3, 3, 3))
     for (da, db, dc), block in unit_stencil(grid, topo).items():
-        phase = np.exp(
-            -2j * np.pi * (k1 * da / n1 + k2 * db / n2 + k3 * dc / n3)
-        )
-        ahat += phase[..., None, None] * block
-    flat = ahat.reshape(-1, 3, 3)
-    flat[0] = np.eye(3)  # placeholder; zero frequency is zeroed below
-    dets = np.abs(np.linalg.det(flat))
-    ref = np.abs(flat).max()
-    if np.any(dets < 1e-12 * ref**3):
+        blocks[:, da + 1, db + 1, dc + 1] = block[iu]
+    e1, e2, e3 = (
+        np.exp(-2j * np.pi * np.outer(np.arange(nk), np.arange(-1, 2)) / n)
+        for nk, n in ((n1, n1), (n2, n2), (nh, n3))
+    )
+    part = np.einsum("kc,qabc->qabk", e3, blocks)
+    part = np.einsum("jb,qabk->qajk", e2, part).reshape(6, 3, n2 * nh)
+    ahat = (e1.real @ part.real - e1.imag @ part.imag).reshape(6, -1)
+    ahat[:, 0] = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0]  # placeholder; zero frequency is zeroed below
+    a00, a01, a02, a11, a12, a22 = ahat
+    cof = np.empty((3, 3) + a00.shape)
+    cof[0, 0] = a11 * a22 - a12 * a12
+    cof[0, 1] = cof[1, 0] = a02 * a12 - a01 * a22
+    cof[0, 2] = cof[2, 0] = a01 * a12 - a02 * a11
+    cof[1, 1] = a00 * a22 - a02 * a02
+    cof[1, 2] = cof[2, 1] = a01 * a02 - a00 * a12
+    cof[2, 2] = a00 * a11 - a01 * a01
+    det = a00 * cof[0, 0] + a01 * cof[0, 1] + a02 * cof[0, 2]
+    ref = np.abs(ahat).max()
+    if np.any(np.abs(det) < 1e-12 * ref**3):
         raise RuntimeError(
             "singular constant-coefficient symbol at a nonzero frequency; "
             "the operator must be coercive on mean-free fields"
         )
-    ghat = np.linalg.inv(flat).reshape(n1, n2, nh, 3, 3)
-    ghat[0, 0, 0] = 0.0
+    cof /= det
+    cof[:, :, 0] = 0.0
+    ghat = cof.reshape(3, 3, n1, n2, nh).transpose(2, 3, 4, 0, 1)
     return GreenSymbol(grid=grid, ghat=ghat)
 
 
@@ -108,7 +130,12 @@ def apply_preconditioner(symbol: GreenSymbol, f_grid: np.ndarray) -> np.ndarray:
     the identity and is handled by the caller.
     """
     fhat = rfftn(f_grid, axes=(0, 1, 2))
-    zhat = np.einsum("xyzij,xyzj->xyzi", symbol.ghat, fhat)
+    g = symbol.ghat
+    zhat = np.empty_like(fhat)
+    for i in range(3):
+        zhat[..., i] = (
+            g[..., i, 0] * fhat[..., 0] + g[..., i, 1] * fhat[..., 1] + g[..., i, 2] * fhat[..., 2]
+        )
     return irfftn(zhat, s=symbol.grid.n, axes=(0, 1, 2))
 
 

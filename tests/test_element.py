@@ -484,6 +484,51 @@ def test_cut_kernel_matches_reference_every_pattern():
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (t, code)
 
 
+def test_cut_kernel_matches_reference_on_sliver_subtets():
+    # a level within 1e-14 of zero at one node leaves subtets below
+    # DEGENERATE_REL_VOLUME, which both the chunk kernel and the reference
+    # drop before renormalizing the rest; every order of the levels, with
+    # both signs, reaches every sign pattern.  Keeping the slivers moves
+    # the matrices by ~1e-13 of their size, so the bound is tighter than in
+    # the test above
+    from xfft.element import _cut_matrices
+    from xfft.mesh import Grid, build_topology, tet_vertices
+
+    grid = Grid((4, 5, 6), (2.0, 3.0, 4.5))
+    topo = build_topology()
+    vol_tet = float(np.prod(grid.h)) / 6.0
+    rng = np.random.default_rng(24)
+    levels = np.array(
+        [
+            sign * np.array(base)[list(perm)]
+            for base in ([1e-14, -1.0, -0.7, -0.4], [0.3, -1e-15, 0.8, -0.6])
+            for perm in itertools.permutations(range(4))
+            for sign in (1.0, -1.0)
+        ]
+    )
+    codes = ((levels > 0) << np.arange(4)).sum(axis=1)
+    c_plus, c_minus = rng.standard_normal((2, len(levels), 6, 6))
+    c_plus = c_plus @ c_plus.transpose(0, 2, 1) + 6.0 * np.eye(6)
+    c_minus = c_minus @ c_minus.transpose(0, 2, 1) + 6.0 * np.eye(6)
+    dropped = 0
+    for t in range(6):
+        verts = tet_vertices(topo, grid, t)
+        grads = p1_grads(verts)
+        for code in np.unique(codes):
+            sel = np.nonzero(codes == code)[0]
+            a, bfac, cv, d0, _, _ = _cut_matrices(
+                levels[sel], grads, b_matrix(grads), CUT_TEMPLATES[code],
+                c_plus[sel], c_minus[sel], vol_tet,
+            )
+            for k, e in enumerate(sel):
+                dropped += len(CUT_TEMPLATES[code]) - len(cut_tet(verts, levels[e]))
+                ref = assemble_enriched(verts, levels[e], c_plus[e], c_minus[e], np.ones((4, 3)))
+                d0_ref = d0_element(verts, levels[e])
+                for got, want in ((a[k], ref.a), (bfac[k], ref.bfac), (cv[k], ref.cv), (d0[k], d0_ref)):
+                    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (t, code)
+    assert len(np.unique(codes)) == 14 and dropped > 0
+
+
 def test_caches_hold_no_cut_element_matrix_until_asked():
     from xfft.homogenize import hashin_system
 

@@ -121,3 +121,28 @@ def test_anisotropic_grid_round_trip():
     f = apply_stencil(grid, topo, v)
     z = apply_preconditioner(symbol, f)
     assert np.allclose(z, v, rtol=1e-11, atol=1e-11)
+
+
+def test_odd_grid_round_trip_and_real_symbol():
+    # odd, non-cubic grid: N3 = 7 gives a half-spectrum axis of 4 without a
+    # Nyquist plane, and the axes differ in both N and h
+    grid = Grid((5, 6, 7), (5.0, 9.0, 7.0))
+    topo = build_topology()
+    symbol = build_symbol(grid, topo)
+    assert symbol.ghat.dtype == np.float64 and symbol.ghat.shape == (5, 6, 4, 3, 3)
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(tuple(grid.n) + (3,))
+    v -= v.mean(axis=(0, 1, 2))
+    z = apply_preconditioner(symbol, apply_stencil(grid, topo, v))
+    assert np.allclose(z, v, rtol=1e-12, atol=1e-12 * np.abs(v).max())
+    # the real symbol is the inverse of the complex sum over the stencil
+    k = np.meshgrid(np.arange(5) / 5, np.arange(6) / 6, np.arange(4) / 7, indexing="ij")
+    ahat = sum(
+        np.exp(-2j * np.pi * (k[0] * da + k[1] * db + k[2] * dc))[..., None, None] * block
+        for (da, db, dc), block in unit_stencil(grid, topo).items()
+    ).reshape(-1, 3, 3)
+    ahat[0] = np.eye(3)
+    want = np.linalg.inv(ahat)
+    want[0] = 0.0
+    got = symbol.ghat.reshape(-1, 3, 3)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
