@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .mesh import CORNER_OFFSETS, DofLayout, ElementTopology, Grid, tet_vertices
+from .mesh import CORNER_OFFSETS, DofLayout, ElementTopology, Grid, corner_nodes, tet_vertices
 
 SQRT2 = np.sqrt(2.0)
 
@@ -369,7 +369,6 @@ class ElementCaches:
 
     grid: Grid
     topo: ElementTopology
-    mode: str
     stiffness: np.ndarray  # (n_phase, 6, 6)
     grads: np.ndarray  # (6, 4, 3) per tet type
     b_mats: np.ndarray  # (6, 6, 12)
@@ -384,7 +383,6 @@ class ElementCaches:
     # enriched (single-interface cut) elements
     cut_ttype: np.ndarray
     cut_voxel: np.ndarray  # (n_cut, 3) lattice coords
-    cut_nodes: np.ndarray  # (n_cut, 4) flat node ids
     cut_enr: np.ndarray  # (n_cut, 4) enriched slots
     cut_region: np.ndarray
     cut_levels: np.ndarray  # (n_cut, 4) nodal values of the cutting interface
@@ -393,7 +391,6 @@ class ElementCaches:
     # multi-interface fallback elements (assembled without enrichment)
     mi_ttype: np.ndarray
     mi_voxel: np.ndarray
-    mi_nodes: np.ndarray
     mi_a: np.ndarray  # (n_mi, 12, 12)
     mi_bfac: np.ndarray  # (n_mi, 12, 6)
     # the special elements summed into one operator
@@ -404,8 +401,6 @@ class ElementCaches:
     d0: np.ndarray  # (n_x, 3)
     scale: np.ndarray  # (n_x, 3); zero marks a dropped enriched dof
     n_dropped_dofs: int
-    n_conflict_nodes: int
-    _slot_maps: dict = field(default_factory=dict, repr=False)
     _derived: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -508,54 +503,20 @@ class ElementCaches:
         return qp, np.full((self.n_mi, 4), self.tet_volume / 4.0)
 
     def slot_map(self, kind):
-        """(6, N1, N2, N3) element -> index into cut_*/mi_* arrays (-1 none)."""
-        if kind not in self._slot_maps:
-            shape = (6,) + tuple(self.grid.n)
-            m = np.full(shape, -1, dtype=np.int64)
-            tt, vox = (
-                (self.cut_ttype, self.cut_voxel)
-                if kind == "cut"
-                else (self.mi_ttype, self.mi_voxel)
-            )
-            if len(tt):
-                m[tt, vox[:, 0], vox[:, 1], vox[:, 2]] = np.arange(len(tt))
-            self._slot_maps[kind] = m
-        return self._slot_maps[kind]
+        """(6, N1, N2, N3) element -> index into cut_*/mi_* arrays (-1 none).
 
+        Kept once computed, and counted by `nbytes` from then on.
+        """
+        tt, vox = (
+            (self.cut_ttype, self.cut_voxel) if kind == "cut" else (self.mi_ttype, self.mi_voxel)
+        )
 
-def _node_ids(voxels, offsets, n):
-    """Flat node ids (m, k) of k corners of the voxels `voxels` (m, 3).
+        def compute():
+            m = np.full((6,) + tuple(self.grid.n), -1, dtype=np.int64)
+            m[tt, vox[:, 0], vox[:, 1], vox[:, 2]] = np.arange(len(tt))
+            return [m]
 
-    `offsets` (k, 3) or, per voxel, (m, k, 3) holds the corner offsets.
-    """
-    idx = (voxels[:, None, :] + offsets) % np.asarray(n)
-    return np.ravel_multi_index(
-        (idx[..., 0], idx[..., 1], idx[..., 2]), n
-    )
-
-
-def _voxel_dofs(voxels, n):
-    """Dofs (m, 24) intp of the 8 corners of the voxels with flat ids `voxels`.
-
-    Column 3 * corner + component holds 3 * node + component, with the
-    corners in `CORNER_OFFSETS` order.  The node id is separable,
-    ((i + a) % N1 * N2 + (j + b) % N2) * N3 + (k + c) % N3, so it is summed
-    from two wrapped terms per axis, one corner at a time.
-    """
-    n1, n2, n3 = n
-    i, j, k = np.unravel_index(voxels, n)
-    terms = [
-        [3 * n2 * n3 * ((i + a) % n1) for a in (0, 1)],
-        [3 * n3 * ((j + b) % n2) for b in (0, 1)],
-        [3 * ((k + c) % n3) for c in (0, 1)],
-    ]
-    del i, j, k
-    dofs = np.empty((len(voxels), 24), dtype=np.intp)
-    for corner, (a, b, c) in enumerate(CORNER_OFFSETS):
-        base = terms[0][a] + terms[1][b] + terms[2][c]
-        for comp in range(3):
-            dofs[:, 3 * corner + comp] = base + comp
-    return dofs
+        return self._memo((f"{kind}_slot_map",), compute)[0]
 
 
 def _element_phases(base, *special):
@@ -565,27 +526,6 @@ def _element_phases(base, *special):
     for ttype, voxel in special:
         ptype[ttype, voxel[:, 0], voxel[:, 1], voxel[:, 2]] = -1
     return ptype
-
-
-def _resolve_side_phases(assembly, sign_matrix, cut_index):
-    """Phase on the +/- side of the cutting interface of each element.
-
-    sign_matrix (m, n_regions) holds the (node-constant) sign of every
-    non-cutting region; column `cut_index[e]` is overridden by the side.
-    Returns (m, 2) int8: the + side's phase, then the - side's.
-    """
-    m = sign_matrix.shape[0]
-    phases = np.empty((m, 2), dtype=np.int8)
-    for col, side in enumerate((1, -1)):
-        out = np.full(m, assembly.regions[-1].outside_phase, dtype=np.int8)
-        undecided = np.ones(m, dtype=bool)
-        for r, reg in enumerate(assembly.regions):
-            s = np.where(cut_index == r, side, sign_matrix[:, r])
-            take = undecided & (s > 0)
-            out[take] = reg.inside_phase
-            undecided &= ~take
-        phases[:, col] = out
-    return phases
 
 
 def _subtet_ratio(bary):
@@ -836,7 +776,6 @@ def build_caches(
     layout: DofLayout,
     nodal: np.ndarray,
     stiffness,
-    mode: str = "xfem",
     store_quadrature: bool = False,
 ) -> ElementCaches:
     """Assemble the cell's operator: voxel stencils and the special operator.
@@ -850,10 +789,7 @@ def build_caches(
     per-dof factor, applied once to the summed operator.
     `store_quadrature` computes the quadrature record (`cut_qp`, `cut_qw`,
     `mi_qp`, `mi_qw`) during the build and keeps it; otherwise it is
-    computed on first access.  `mode` "p1" disables enrichment entirely:
-    every element is assembled as an uncut single-phase element with the
-    base phase of its voxel (from the level-set signs at the voxel's
-    (0,0,0) corner).
+    computed on first access.
     """
     stiffness = np.asarray(stiffness, dtype=float)
     n_phase = len(stiffness)
@@ -874,24 +810,12 @@ def build_caches(
     # base phase per voxel from the nodal level-set signs at its (0,0,0)
     # corner, shared by all six tets: the discrete geometry is then
     # consistently the interpolated one, for cut and uncut elements alike
-    base = np.full(
-        nshape,
-        assembly.regions[-1].outside_phase if assembly.regions else assembly.background,
-        dtype=np.int8,
-    )
-    undecided = np.ones(nshape, dtype=bool)
-    for r, reg in enumerate(assembly.regions):
-        take = undecided & (nodal[r] > 0)
-        base[take] = reg.inside_phase
-        undecided &= ~take
+    base = assembly.phase_of(nodal > 0)
 
     # ---- structure: cut and fallback elements in canonical (t, voxel)
-    # order ("p1" enriches nothing, so it has no special elements); they
-    # leave the regular pass, and so does every voxel that holds one: its
-    # plain tets join the special operator
+    # order; they leave the regular pass, and so does every voxel that
+    # holds one: its plain tets join the special operator
     region_map = layout.cut_region
-    if mode != "xfem":
-        region_map = np.full_like(region_map, -1)
     tt, vi, vj, vk = np.nonzero(region_map >= 0)
     cut_ttype, cut_voxel = tt.astype(np.int8), np.stack([vi, vj, vk], axis=1)
     cut_region = region_map[tt, vi, vj, vk]
@@ -905,19 +829,20 @@ def build_caches(
     tt, vi, vj, vk = np.nonzero((ptype >= 0) & (voxel_phase < 0))
     plain_ttype, plain_phase = tt, ptype[tt, vi, vj, vk]
     del ptype
-    plain_nodes = _node_ids(np.stack([vi, vj, vk], axis=1), topo.offsets[tt], nshape)
-    mi_nodes = _node_ids(mi_voxel, topo.offsets[mi_ttype], nshape)
+    plain_nodes = corner_nodes(np.stack([vi, vj, vk], axis=1), topo.offsets[tt], nshape)
+    mi_nodes = corner_nodes(mi_voxel, topo.offsets[mi_ttype], nshape)
 
-    cut_nodes = _node_ids(cut_voxel, topo.offsets[cut_ttype], nshape)
+    cut_nodes = corner_nodes(cut_voxel, topo.offsets[cut_ttype], nshape)
     cut_enr = layout.enr_index.ravel()[cut_nodes]
-    if n_cut:
-        flat_nodal = nodal.reshape(nodal.shape[0], -1)
-        cut_levels = flat_nodal[cut_region[:, None], cut_nodes]
-        sign_matrix = np.sign(flat_nodal[:, cut_nodes[:, 0]]).T  # (n_cut, n_regions)
-        cut_phases = _resolve_side_phases(assembly, sign_matrix, cut_region)
-    else:
-        cut_levels = np.empty((0, 4))
-        cut_phases = np.empty((0, 2), dtype=np.int8)
+    flat_nodal = nodal.reshape(len(nodal), grid.n_nodes)
+    cut_levels = flat_nodal[cut_region[:, None], cut_nodes]
+    # phase on the + and - side of the cutting interface: the other
+    # regions' flags are constant over the element, read at its first node
+    inside = flat_nodal[:, cut_nodes[:, 0]] > 0  # (n_regions, n_cut)
+    cut_phases = np.empty((n_cut, 2), dtype=np.int8)
+    for col, side in enumerate((True, False)):
+        inside[cut_region, np.arange(n_cut)] = side
+        cut_phases[:, col] = assembly.phase_of(inside)
 
     # bind each enriched node to the single interface cutting its support;
     # nodes claimed by two interfaces are dropped (scale stays zero)
@@ -1001,28 +926,37 @@ def build_caches(
     vflat = voxel_phase.ravel()
     voxel_order = np.argsort(vflat, kind="stable")[np.count_nonzero(vflat < 0) :]
     voxel_bounds = np.searchsorted(vflat[voxel_order], np.arange(n_phase + 1))
+    # the 24 corner dofs of every regular voxel, in phase order, filled one
+    # corner at a time: column 3 * corner + component holds
+    # 3 * node + component, the corners in `CORNER_OFFSETS` order
+    voxels = np.stack(np.unravel_index(voxel_order, nshape), axis=1)
+    # freed before the fill: kept to the end of the build, it raised the
+    # peak RSS of a hashin N=128 build from 1189 to 1204 MB
+    del voxel_order
+    voxel_dofs = np.empty((len(voxels), 24), dtype=np.intp)
+    for corner, offset in enumerate(CORNER_OFFSETS):
+        node3 = 3 * corner_nodes(voxels, offset[None], nshape)[:, 0]
+        for comp in range(3):
+            voxel_dofs[:, 3 * corner + comp] = node3 + comp
     n_regular = 6 * np.diff(voxel_bounds)
     total_cv = vol_tet * np.einsum("p,pcd->cd", n_regular, stiffness) + cv_sum
 
     caches = ElementCaches(
         grid=grid,
         topo=topo,
-        mode=mode,
         stiffness=stiffness,
         grads=grads,
         b_mats=b_mats,
         tet_volume=vol_tet,
         base_phase=base,
         voxel_phase=voxel_phase,
-        # the 24 corner dofs of every regular voxel, in phase order
-        voxel_dofs=_voxel_dofs(voxel_order, nshape),
+        voxel_dofs=voxel_dofs,
         voxel_bounds=voxel_bounds,
         voxel_k=voxel_k,
         voxel_s=voxel_s,
         total_cv=total_cv,
         cut_ttype=cut_ttype,
         cut_voxel=cut_voxel,
-        cut_nodes=cut_nodes,
         cut_enr=cut_enr,
         cut_region=cut_region,
         cut_levels=cut_levels,
@@ -1030,7 +964,6 @@ def build_caches(
         cut_scale=scale[cut_enr],
         mi_ttype=mi_ttype,
         mi_voxel=mi_voxel,
-        mi_nodes=mi_nodes,
         mi_a=mi_a,
         mi_bfac=mi_bfac,
         special_dofs=special_dofs,
@@ -1039,7 +972,6 @@ def build_caches(
         d0=d0,
         scale=scale,
         n_dropped_dofs=n_dropped,
-        n_conflict_nodes=int(conflict.sum()),
     )
     if store_quadrature:
         caches.cut_qp, caches.mi_qp  # computed now, and kept
@@ -1095,7 +1027,7 @@ def evaluate_strain(
             sel = np.nonzero((ttype == t) & ((cut_slot >= 0) == enriched))[0]
             if not len(sel):
                 continue
-            nodes = _node_ids(vox[sel], topo.offsets[t], nshape)
+            nodes = corner_nodes(vox[sel], topo.offsets[t], nshape)
             ue = u_flat[nodes].reshape(-1, 12)
             eps[sel] += ue @ caches.b_mats[t].T
             if not enriched:

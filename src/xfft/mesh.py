@@ -5,7 +5,9 @@ sharing the main diagonal from corner (0,0,0) to corner (1,1,1) (Kuhn
 subdivision, one fixed orientation for all voxels so the constant
 coefficient operator stays translation invariant).  Nodes sit on voxel
 corners and are identified periodically; fields are stored node-major
-with the x index fastest and the three displacement components last.
+with the z index fastest and the three displacement components last.
+`corner_nodes` is the one place that turns voxels and corner offsets into
+these periodic node ids.
 """
 
 import itertools
@@ -99,6 +101,22 @@ def tet_vertices(topo: ElementTopology, grid: Grid, ttype: int) -> np.ndarray:
     return topo.offsets[ttype] * np.asarray(grid.h)
 
 
+def corner_nodes(voxels, offsets, n):
+    """Flat periodic node ids (m, k) of k corners of the voxels `voxels` (m, 3).
+
+    `offsets` holds the corner offsets, (k, 3) shared by every voxel or
+    (m, k, 3) per voxel.  Node (i, j, k) has id (i * N2 + j) * N3 + k, each
+    index wrapped into the cell.  The ids are formed one corner at a time.
+    """
+    n1, n2, n3 = n
+    offsets = np.asarray(offsets)
+    out = np.empty((len(voxels), offsets.shape[-2]), dtype=np.intp)
+    for l in range(out.shape[1]):
+        i, j, k = (voxels + offsets[..., l, :]).T
+        out[:, l] = (i % n1 * n2 + j % n2) * n3 + k % n3
+    return out
+
+
 def corner_fields(nodal: np.ndarray, topo: ElementTopology, ttype: int):
     """Values of a nodal field at the 4 corners of tet `ttype` of every voxel.
 
@@ -128,18 +146,8 @@ class DofLayout:
     n_multi_interface: int
 
     @property
-    def n_fe(self):
-        return self.grid.n_nodes
-
-    @property
     def n_dofs(self):
-        return 3 * (self.n_fe + self.n_x)
-
-    def enriched_nodes(self):
-        """Flat node ids of the enriched set, ordered by their dense slot."""
-        flat = self.enr_index.ravel()
-        nodes = np.nonzero(flat >= 0)[0]
-        return nodes[np.argsort(flat[nodes])]
+        return 3 * (self.grid.n_nodes + self.n_x)
 
 
 def detect_enrichment(nodal: np.ndarray, topo: ElementTopology, grid: Grid) -> DofLayout:

@@ -110,22 +110,27 @@ class PhaseAssembly:
         """Signed distance of region `index` at point(s) x (inside positive)."""
         return self.regions[index].shape.distance(x, lengths)
 
+    def phase_of(self, inside):
+        """Int8 phase from per-region inside flags (n_regions, ...).
+
+        The regions are assigned in reverse order, so the first region whose
+        flag is set wins; where none is, the last region's outside phase (or
+        `background`) stays.
+        """
+        last = self.regions[-1].outside_phase if self.regions else self.background
+        out = np.full(inside.shape[1:], last, dtype=np.int8)
+        for reg, flag in zip(self.regions[::-1], inside[::-1]):
+            out[flag] = reg.inside_phase
+        return out
+
     def phase_at(self, x, lengths):
         """Phase index at point(s) x; vectorized over leading axes of x."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 1
-        pts = x[None, :] if scalar else x
-        if not self.regions:
-            out = np.full(pts.shape[:-1], self.background, dtype=np.int8)
-            return int(out[0]) if scalar else out
-        out = np.full(pts.shape[:-1], self.regions[-1].outside_phase, dtype=np.int8)
-        undecided = np.ones(pts.shape[:-1], dtype=bool)
-        for reg in self.regions:
-            inside = reg.shape.distance(pts, lengths) > 0.0
-            take = undecided & inside
-            out[take] = reg.inside_phase
-            undecided &= ~inside
-        return int(out[0]) if scalar else out
+        inside = np.empty((self.n_interfaces,) + x.shape[:-1], dtype=bool)
+        for k in range(self.n_interfaces):
+            inside[k] = self.eval(k, x, lengths) > 0.0
+        out = self.phase_of(inside)
+        return int(out) if x.ndim == 1 else out
 
 
 def check_cell(assembly: PhaseAssembly, lengths):
@@ -155,8 +160,7 @@ def sample_nodal(assembly: PhaseAssembly, grid) -> np.ndarray:
     so that downstream cut-case enumeration sees strict signs only; the
     induced geometry perturbation is far below discretization error.
     """
-    xs = [np.arange(grid.n[a]) * grid.h[a] for a in range(3)]
-    nodes = np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1)
+    nodes = grid.node_coords()
     snap = SNAP_ETA * min(grid.h)
     fields = np.empty((assembly.n_interfaces,) + tuple(grid.n))
     for k in range(assembly.n_interfaces):

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import greenop
 from .element import ElementCaches, build_caches
-from .mesh import DofLayout, Grid, build_topology, detect_enrichment
+from .mesh import DofLayout, Grid, build_topology, corner_nodes, detect_enrichment
 from .microstructure import check_cell, sample_nodal
 from .voigt import MaterialIso, iso_stiffness, stiffness_bounds
 
@@ -46,23 +46,6 @@ ZERO6 = np.zeros(6)
 SIGMA_NORM_FLOOR = 1e-300
 
 INT8_MAX = 127
-
-
-def _corner_gather(u_grid, offsets):
-    """Values of u_grid (N1, N2, N3, 3) at corner (a, b, c) of every voxel.
-
-    Returns (len(offsets), N1, N2, N3, 3); the voxel index is the voxel's
-    origin corner.
-    """
-    n1, n2, n3 = u_grid.shape[:3]
-    padded = np.pad(u_grid, ((0, 1), (0, 1), (0, 1), (0, 0)), mode="wrap")
-    return np.stack([padded[a : a + n1, b : b + n2, c : c + n3] for a, b, c in offsets])
-
-
-def _corner_scatter(acc, offsets, fc):
-    """Add per-voxel corner values fc (len(offsets), N1, N2, N3, 3) to acc."""
-    for (a, b, c), f in zip(offsets, fc):
-        acc += np.roll(f, shift=(a, b, c), axis=(0, 1, 2))
 
 
 class DofVector:
@@ -151,15 +134,20 @@ class System:
 
     # -- element sweeps ----------------------------------------------------
 
+    def _tet_dofs(self, t):
+        """Grid dofs (N1 N2 N3, 12) of the 4 corners of tet t of every voxel."""
+        voxels = np.indices(self.grid.n).reshape(3, -1).T
+        nodes = corner_nodes(voxels, self.topo.offsets[t], self.grid.n)
+        return (3 * nodes[..., None] + np.arange(3)).reshape(-1, 12)
+
     def _gather(self, u_grid, t):
         """Displacements (N1, N2, N3, 12) at the 4 corners of tet t of each voxel."""
-        uc = _corner_gather(u_grid, self.topo.offsets[t])
-        return np.moveaxis(uc, 0, -2).reshape(uc.shape[1:4] + (12,))
+        return u_grid.ravel()[self._tet_dofs(t)].reshape(u_grid.shape[:3] + (12,))
 
     def _scatter(self, acc, t, fe):
         """Add the corner forces fe (N1, N2, N3, 12) of tet t to their nodes."""
-        fc = np.moveaxis(fe.reshape(fe.shape[:3] + (4, 3)), -2, 0)
-        _corner_scatter(acc, self.topo.offsets[t], fc)
+        idx = self._tet_dofs(t).ravel()
+        acc += np.bincount(idx, fe.ravel(), minlength=acc.size).reshape(acc.shape)
 
     def _sweep(self, u: DofVector, eps_bar, want_force=True):
         """One pass over the regular voxels plus the special-element operator.
@@ -248,8 +236,11 @@ def build_system(
 ) -> System:
     """Discretize a cell: sample geometry, detect enrichment, build caches.
 
-    `store_quadrature` computes the cut and fallback elements' quadrature
-    record during the build and keeps it (see `build_caches`).
+    `mode` "p1" disables enrichment entirely: every element is assembled as
+    an uncut single-phase element with the base phase of its voxel (from
+    the level-set signs at the voxel's (0,0,0) corner).  `store_quadrature`
+    computes the cut and fallback elements' quadrature record during the
+    build and keeps it (see `build_caches`).
     """
     if mode not in ("xfem", "p1"):
         raise ValueError(f"unknown discretization {mode!r}")
@@ -274,14 +265,7 @@ def build_system(
             n_multi_interface=0,
         )
     caches = build_caches(
-        assembly,
-        grid,
-        topo,
-        layout,
-        nodal,
-        stiffness,
-        mode=mode,
-        store_quadrature=store_quadrature,
+        assembly, grid, topo, layout, nodal, stiffness, store_quadrature=store_quadrature
     )
     symbol = greenop.build_symbol(grid, topo)
     return System(grid, topo, layout, caches, symbol, stiffness)

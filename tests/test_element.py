@@ -543,3 +543,14 @@ def test_caches_hold_no_cut_element_matrix_until_asked():
     assert a.shape == (c.n_cut, 24, 24) and bfac.shape == (c.n_cut, 24, 6)
     assert c.nbytes == before + a.nbytes + bfac.nbytes
     assert c.cut_a is a  # kept, not recomputed
+
+
+def test_nbytes_counts_slot_maps():
+    from xfft.homogenize import hashin_system
+
+    system, _ = hashin_system(8)
+    c = system.caches
+    before = c.nbytes
+    m = c.slot_map("cut")
+    assert m.nbytes > 0 and c.nbytes == before + m.nbytes
+    assert c.slot_map("cut") is m  # kept, not recomputed

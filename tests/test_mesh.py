@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
-from helpers import point_in_tet
+from helpers import node_id, point_in_tet
 
-from xfft.mesh import Grid, build_topology, detect_enrichment, tet_vertices
+from xfft.mesh import (
+    CORNER_OFFSETS,
+    Grid,
+    build_topology,
+    corner_nodes,
+    detect_enrichment,
+    tet_vertices,
+)
 from xfft.microstructure import PhaseAssembly, Plane, Region, Sphere, sample_nodal
 
 LENGTHS = (16.0, 16.0, 16.0)
@@ -150,6 +157,44 @@ def test_gather_scatter_round_trip():
     # every node appears in 6 tets x 4 slots = 24 slots per voxel incidence;
     # with the shared corner table each node collects exactly 24 copies
     assert np.allclose(acc, 24.0 * u.grid, rtol=1e-13)
+
+
+def test_corner_nodes_match_independent_node_ids():
+    # a grid with three different axis lengths catches swapped or
+    # unwrapped axes
+    grid = Grid((4, 5, 6), (4.0, 5.0, 6.0))
+    topo = build_topology()
+    voxels = np.indices(grid.n).reshape(3, -1).T
+    shared = corner_nodes(voxels, CORNER_OFFSETS, grid.n)
+    ttype = np.arange(len(voxels)) % 6
+    per_tet = corner_nodes(voxels, topo.offsets[ttype], grid.n)
+    assert shared.shape == (len(voxels), 8) and per_tet.shape == (len(voxels), 4)
+    for v, (i, j, k) in enumerate(voxels):
+        assert list(shared[v]) == [
+            node_id(i + a, j + b, k + c, grid.n) for a, b, c in CORNER_OFFSETS
+        ]
+        assert list(per_tet[v]) == [
+            node_id(i + a, j + b, k + c, grid.n) for a, b, c in topo.offsets[ttype[v]]
+        ]
+
+
+def test_gather_reads_independent_node_ids():
+    from xfft.solver import build_system
+    from xfft.voigt import MaterialIso
+
+    grid = Grid((4, 5, 6), (4.0, 5.0, 6.0))
+    system = build_system(PhaseAssembly([], 0), grid, [MaterialIso(1.0, 0.3)])
+    u = system.zeros()
+    u.grid[:] = 3 * np.arange(grid.n_nodes).reshape(grid.n)[..., None] + np.arange(3)
+    for t in range(6):
+        ue = system._gather(u.grid, t)
+        for i, j, k in np.ndindex(*grid.n):
+            want = [
+                3 * node_id(i + a, j + b, k + c, grid.n) + comp
+                for a, b, c in system.topo.offsets[t]
+                for comp in range(3)
+            ]
+            assert list(ue[i, j, k]) == want
 
 
 def test_multi_interface_elements_detected():

@@ -93,6 +93,28 @@ def test_phase_at_empty_assembly_is_background():
     assert a.phase_at(np.array([1.0, 2.0, 3.0]), LENGTHS) == 4
 
 
+def test_first_region_wins_where_regions_overlap():
+    # two half-cell slabs, x in (0.5, 2.5) and y in (0.5, 2.5), overlap on
+    # the nodes x, y in {1, 2}; the first slab's phase 1 must win there, and
+    # nodes in neither slab take the last region's outside phase 3
+    from xfft.solver import build_system
+    from xfft.voigt import MaterialIso
+
+    assembly = PhaseAssembly(
+        [
+            Region(Plane((0.5, 0.0, 0.0), (1.0, 0.0, 0.0)), inside_phase=1, outside_phase=0),
+            Region(Plane((0.0, 0.5, 0.0), (0.0, 1.0, 0.0)), inside_phase=2, outside_phase=3),
+        ],
+        0,
+    )
+    grid = Grid((4, 4, 4), (4.0, 4.0, 4.0))
+    rows = [[3, 2, 2, 3], [1, 1, 1, 1], [1, 1, 1, 1], [3, 2, 2, 3]]  # [x][y]
+    expect = np.repeat(np.array(rows)[:, :, None], 4, axis=2)
+    assert np.array_equal(assembly.phase_at(grid.node_coords(), grid.lengths), expect)
+    system = build_system(assembly, grid, [MaterialIso(1.0 + p, 0.3) for p in range(4)])
+    assert np.array_equal(system.caches.base_phase, expect)
+
+
 def test_sample_nodal_plane_snap():
     # plane through x = 0: nodes on both interfaces snap to +eta*h
     a = PhaseAssembly([Region(Plane((0.0, 0, 0), (1.0, 0, 0)), 1, 0)], 0)
