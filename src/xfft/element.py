@@ -341,9 +341,9 @@ class ElementCaches:
     and is applied as one 24-dof stencil (slot 3 * corner + component):
     `voxel_k[p]` = sum_t V P_t^T B_t^T C_p B_t P_t and the stress map
     `voxel_s[p]` = sum_t V C_p B_t P_t, whose transpose is the load map.
-    `voxel_dofs` indexes these voxels' dofs in the flat dof vector: row v
-    lists dof 3 * node + component of the 8 corners of one voxel, in slot
-    order, and the rows are grouped by phase, phase p in rows
+    `voxel_dofs` indexes these voxels' dofs in the flat dof vector, as
+    `DofLayout` numbers them: row v lists the dofs of the 8 corners of one
+    voxel, in slot order, and the rows are grouped by phase, phase p in rows
     `voxel_bounds[p]:voxel_bounds[p + 1]`.  The sweep gathers with it,
     and scatters back with one `np.bincount`.  It is intp, so that numpy
     indexes with it without a conversion on every sweep.  `voxel_phase` is
@@ -351,9 +351,9 @@ class ElementCaches:
 
     The special elements and the regular ("plain") tets of the voxels with
     `voxel_phase` -1 are summed once into one operator on the flat dof
-    vector (grid dofs node-major, then enriched dofs): `special_dofs` lists
-    the sorted dofs they touch, `special_k` is the summed stiffness over
-    those dofs (block-sparse, 3x3 node blocks) and `special_load` the
+    vector: `special_dofs` lists the dofs they touch, three per touched id
+    in ascending id order, `special_k` is the summed stiffness over those
+    dofs (block-sparse, 3x3 blocks) and `special_load` the
     summed load map sum_e L_e^T Bfac_e, whose transpose maps the touched
     dofs to volume-integrated stress.  `total_cv` is the volume-integrated
     stiffness summed over every element.
@@ -394,7 +394,7 @@ class ElementCaches:
     mi_a: np.ndarray  # (n_mi, 12, 12)
     mi_bfac: np.ndarray  # (n_mi, 12, 6)
     # the special elements summed into one operator
-    special_dofs: np.ndarray  # (n_touched,) sorted flat dof indices
+    special_dofs: np.ndarray  # (3 n_touched,) flat dofs of the touched ids
     special_k: scipy.sparse.bsr_matrix  # (n_touched, n_touched)
     special_load: np.ndarray  # (n_touched, 6)
     # internal scaling diagnostics
@@ -463,16 +463,9 @@ class ElementCaches:
     def _scaled_cut_matrices(self):
         a = np.empty((self.n_cut, 24, 24))
         bfac = np.empty((self.n_cut, 24, 6))
-        for t, code, ch in _cut_chunks(self.cut_ttype, self.cut_levels):
-            a[ch], bfac[ch] = _cut_matrices(
-                self.cut_levels[ch],
-                self.grads[t],
-                self.b_mats[t],
-                CUT_TEMPLATES[code],
-                self.stiffness[self.cut_phases[ch, 0]],
-                self.stiffness[self.cut_phases[ch, 1]],
-                self.tet_volume,
-            )[:2]
+        args = self.cut_ttype, self.cut_levels, self.cut_phases, self.stiffness
+        for ch, out in _cut_kernel(*args, self.grads, self.b_mats, self.tet_volume):
+            a[ch], bfac[ch] = out[:2]
         sc = self.cut_scale.reshape(-1, 12)
         a[:, 12:, :] *= sc[:, :, None]
         a[:, :, 12:] *= sc[:, None, :]
@@ -501,6 +494,15 @@ class ElementCaches:
             verts = tet_vertices(self.topo, self.grid, t)
             qp[sel] = SH_BARY @ verts + self.mi_voxel[sel, None, :] * h
         return qp, np.full((self.n_mi, 4), self.tet_volume / 4.0)
+
+    def cut_slot(self, ttype, voxels):
+        """Index into the cut_* arrays of the elements (ttype (m,), voxels
+        (m, 3)), -1 where not cut, by a binary search: the cut elements are
+        stored in ascending (tet type, voxel) order."""
+        keys = np.ravel_multi_index((self.cut_ttype, *self.cut_voxel.T), (6, *self.grid.n))
+        key = np.ravel_multi_index((ttype, *voxels.T), (6, *self.grid.n))
+        pos = np.searchsorted(keys, key)  # len(keys) past the last: -1 matches no key
+        return np.where(np.append(keys, -1)[pos] == key, pos, -1)
 
     def slot_map(self, kind):
         """(6, N1, N2, N3) element -> index into cut_*/mi_* arrays (-1 none).
@@ -658,6 +660,13 @@ def _cut_chunks(ttype, levels):
                 yield t, code, sel[lo : lo + _CHUNK]
 
 
+def _cut_kernel(ttype, levels, phases, stiffness, grads, b_mats, vol_tet):
+    """(index, `_cut_matrices` output) per chunk of `_cut_chunks`."""
+    for t, code, ch in _cut_chunks(ttype, levels):
+        cs = stiffness[phases[ch, 0]], stiffness[phases[ch, 1]]
+        yield ch, _cut_matrices(levels[ch], grads[t], b_mats[t], CUT_TEMPLATES[code], *cs, vol_tet)
+
+
 def _pair_entries(k):
     """Indices (9, k (k + 1) / 2) into a flattened (3k, 3k) element matrix:
     row 3 p + q holds entry (p, q) of the blocks of the node pairs l <= l',
@@ -670,11 +679,11 @@ def _pair_entries(k):
 class _SpecialSum:
     """The special operator, summed element chunk by chunk.
 
-    Built from the node ids (m, k) of every kind of special element, ids
-    running over [grid nodes, enriched slots] (`n_ids` in all), so that
-    its blocks are known before any element matrix is.  An element matrix
-    is symmetric and its k nodes are distinct, so only its node-pair
-    blocks l <= l' are added, and a key (I, I) comes from l = l' alone:
+    Built from the `DofLayout` ids (m, k) of every kind of special element
+    (`n_ids` ids in all), so that its blocks are known before any element
+    matrix is.  An element matrix is symmetric and its k nodes are
+    distinct, so only its node-pair blocks l <= l' are added, and a key
+    (I, I) comes from l = l' alone:
     `operator` adds the transposed sum at (J, I) to each block (I, J),
     I != J.  The sums are kept as 9 planes, one per block entry (p, q),
     so that each `np.add.at` works in one small array.
@@ -733,8 +742,8 @@ class _SpecialSum:
         np.add.at(self.load, (18 * loc[:, :, None] + np.arange(18)).ravel(), bfac.ravel())
 
     def operator(self, node_scale):
-        """Sorted dofs, BSR stiffness and load map, rows and columns scaled
-        by `node_scale` (n_touched, 3).  Adds no more elements afterwards."""
+        """BSR stiffness and load map over the dofs of `touched`, scaled by
+        `node_scale` (n_touched, 3).  Adds no more elements afterwards."""
         del self.local, self.inv
         nt = len(self.touched)
         rows, cols = np.divmod(self.keys, nt)
@@ -762,8 +771,7 @@ class _SpecialSum:
         k_mat = scipy.sparse.bsr_matrix((blocks, cols, indptr), shape=(3 * nt, 3 * nt))
         load = self.load.reshape(nt, 3, 6)
         load *= node_scale.T[:, :, None]
-        dofs = (3 * self.touched[:, None] + np.arange(3)).ravel()
-        return dofs, k_mat, load.reshape(3 * nt, 6)
+        return k_mat, load.reshape(3 * nt, 6)
 
 
 _PAIR_ENTRIES = {k: _pair_entries(k) for k in (4, 8)}
@@ -855,24 +863,16 @@ def build_caches(
         node_region[slots] = r
 
     special = _SpecialSum(
-        [np.concatenate([cut_nodes, grid.n_nodes + cut_enr], axis=1), mi_nodes, plain_nodes],
-        grid.n_nodes + layout.n_x,
+        [np.concatenate([cut_nodes, layout.enr_ids(cut_enr)], axis=1), mi_nodes, plain_nodes],
+        layout.n_ids,
     )
     cv_sum = np.zeros((6, 6))
 
     # ---- cut elements: the unscaled matrices and the internal scaling
     # integrals, which need the same enriched gradients, one chunk at a time
     d0 = np.zeros((layout.n_x, 3))
-    for t, code, ch in _cut_chunks(cut_ttype, cut_levels):
-        a, bfac, cv, d0_e, _, _ = _cut_matrices(
-            cut_levels[ch],
-            grads[t],
-            b_mats[t],
-            CUT_TEMPLATES[code],
-            stiffness[cut_phases[ch, 0]],
-            stiffness[cut_phases[ch, 1]],
-            vol_tet,
-        )
+    args = cut_ttype, cut_levels, cut_phases, stiffness
+    for ch, (a, bfac, cv, d0_e, _, _) in _cut_kernel(*args, grads, b_mats, vol_tet):
         special.add(0, ch, a, bfac)
         cv_sum += cv.sum(axis=0)
         np.add.at(d0, cut_enr[ch], d0_e)
@@ -911,10 +911,11 @@ def build_caches(
     n_plain = np.bincount(plain_phase, minlength=n_phase)
     cv_sum += vol_tet * np.einsum("p,pcd->cd", n_plain, stiffness)
 
+    # every enriched node belongs to a cut element, so every slot's id is touched
     node_scale = np.ones((len(special.touched), 3))
-    enr = special.touched >= grid.n_nodes
-    node_scale[enr] = scale[special.touched[enr] - grid.n_nodes]
-    special_dofs, special_k, special_load = special.operator(node_scale)
+    node_scale[np.searchsorted(special.touched, layout.enr_ids(np.arange(layout.n_x)))] = scale
+    special_k, special_load = special.operator(node_scale)
+    special_dofs = layout.dofs(special.touched[:, None], np.arange(3)).ravel()
     del special
 
     voxel_k = np.zeros((n_phase, 24, 24))
@@ -927,17 +928,17 @@ def build_caches(
     voxel_order = np.argsort(vflat, kind="stable")[np.count_nonzero(vflat < 0) :]
     voxel_bounds = np.searchsorted(vflat[voxel_order], np.arange(n_phase + 1))
     # the 24 corner dofs of every regular voxel, in phase order, filled one
-    # corner at a time: column 3 * corner + component holds
-    # 3 * node + component, the corners in `CORNER_OFFSETS` order
+    # corner at a time: column 3 * corner + component holds that component's
+    # dof of the corner's node, the corners in `CORNER_OFFSETS` order
     voxels = np.stack(np.unravel_index(voxel_order, nshape), axis=1)
     # freed before the fill: kept to the end of the build, it raised the
     # peak RSS of a hashin N=128 build from 1189 to 1204 MB
     del voxel_order
     voxel_dofs = np.empty((len(voxels), 24), dtype=np.intp)
     for corner, offset in enumerate(CORNER_OFFSETS):
-        node3 = 3 * corner_nodes(voxels, offset[None], nshape)[:, 0]
+        nodes = corner_nodes(voxels, offset[None], nshape)[:, 0]
         for comp in range(3):
-            voxel_dofs[:, 3 * corner + comp] = node3 + comp
+            voxel_dofs[:, 3 * corner + comp] = layout.dofs(nodes, comp)
     n_regular = 6 * np.diff(voxel_bounds)
     total_cv = vol_tet * np.einsum("p,pcd->cd", n_regular, stiffness) + cv_sum
 
@@ -1015,7 +1016,7 @@ def evaluate_strain(
     order = np.argsort(-xi, axis=1, kind="stable")
     ttype = _tet_lookup(topo)[order[:, 0], order[:, 1]]
 
-    cut_slot = caches.slot_map("cut")[ttype, vox[:, 0], vox[:, 1], vox[:, 2]]
+    cut_slot = caches.cut_slot(ttype, vox)
     u_flat = np.asarray(u_grid).reshape(-1, 3)
     eps = np.empty((len(x), 6))
     eps[:] = np.asarray(eps_bar, dtype=float)

@@ -163,11 +163,8 @@ def quadrature_set(system: System):
     h = np.asarray(grid.h)
     points, weights = [], []
     vol4 = c.tet_volume / 4.0
-    cut_map = c.slot_map("cut")
-    mi_map = c.slot_map("mi")
     for t in range(6):
-        plain = (cut_map[t] < 0) & (mi_map[t] < 0)
-        vox = np.stack(np.nonzero(plain), axis=1)
+        vox = np.stack(np.nonzero(c.ptype[t] >= 0), axis=1)
         qp = SH_BARY @ tet_vertices(topo, grid, t) + (vox[:, None, :] * h)
         points.append(qp.reshape(-1, 3))
         weights.append(np.full(4 * len(vox), vol4))

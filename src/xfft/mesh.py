@@ -132,11 +132,14 @@ def corner_fields(nodal: np.ndarray, topo: ElementTopology, ttype: int):
 
 @dataclass
 class DofLayout:
-    """Node indexing plus the enriched-node bookkeeping.
+    """Enriched-node bookkeeping and the numbering of the flat dof vector.
 
     enr_index maps node -> dense enriched slot (-1 when not enriched).
     cut_region[t] identifies, per voxel, the single interface cutting tet t
     (-1: uncut, -2: more than one interface, routed to the fallback path).
+    The flat dof vector holds three dofs per id: id i < n_nodes is grid node
+    i, id n_nodes + s is enriched slot s, and component c of id i is dof
+    3 i + c.  No other code knows these rules.
     """
 
     grid: Grid
@@ -146,8 +149,24 @@ class DofLayout:
     n_multi_interface: int
 
     @property
+    def n_ids(self):
+        return self.grid.n_nodes + self.n_x
+
+    @property
     def n_dofs(self):
-        return 3 * (self.grid.n_nodes + self.n_x)
+        return 3 * self.n_ids
+
+    def enr_ids(self, slots):
+        return self.grid.n_nodes + slots
+
+    def dofs(self, ids, comp):
+        """Flat dofs of components `comp` of the ids, broadcast together."""
+        return 3 * ids + comp
+
+    def views(self, data):
+        """Grid (N1, N2, N3, 3) and enriched (n_x, 3) views of a flat vector."""
+        by_id = data.reshape(self.n_ids, 3)
+        return by_id[: self.grid.n_nodes].reshape(self.grid.n + (3,)), by_id[self.grid.n_nodes :]
 
 
 def detect_enrichment(nodal: np.ndarray, topo: ElementTopology, grid: Grid) -> DofLayout:

@@ -49,26 +49,22 @@ INT8_MAX = 127
 
 
 class DofVector:
-    """Displacement-type vector: one flat array of all dofs.
+    """Displacement-type vector: one flat array of all dofs, numbered by
+    its `DofLayout`; `grid` (N1, N2, N3, 3) and `enr` (n_x, 3) are views
+    into it."""
 
-    `data` holds the grid dofs (node-major, component-minor) followed by
-    the enriched dofs; `grid` (N1, N2, N3, 3) and `enr` (n_x, 3) are views
-    into it.
-    """
-
-    def __init__(self, data: np.ndarray, nshape):
+    def __init__(self, data: np.ndarray, layout: DofLayout):
         self.data = data
-        n_grid = 3 * int(np.prod(nshape))
-        self.grid = data[:n_grid].reshape(tuple(nshape) + (3,))
-        self.enr = data[n_grid:].reshape(-1, 3)
+        self.layout = layout
+        self.grid, self.enr = layout.views(data)
 
     @classmethod
     def zeros(cls, layout: DofLayout):
-        return cls(np.zeros(layout.n_dofs), layout.grid.n)
+        return cls(np.zeros(layout.n_dofs), layout)
 
     def like(self, data: np.ndarray):
         """A vector of the same layout holding `data`."""
-        return DofVector(data, self.grid.shape[:3])
+        return DofVector(data, self.layout)
 
     def copy(self):
         return self.like(self.data.copy())
@@ -135,7 +131,9 @@ class System:
     # -- element sweeps ----------------------------------------------------
 
     def _tet_dofs(self, t):
-        """Grid dofs (N1 N2 N3, 12) of the 4 corners of tet t of every voxel."""
+        """Indices (N1 N2 N3, 12) of the 4 corners of tet t of every voxel into
+        a raveled (N1, N2, N3, 3) grid field.  They index that array, not the
+        flat dof vector, so they do not go through `DofLayout`."""
         voxels = np.indices(self.grid.n).reshape(3, -1).T
         nodes = corner_nodes(voxels, self.topo.offsets[t], self.grid.n)
         return (3 * nodes[..., None] + np.arange(3)).reshape(-1, 12)
@@ -254,16 +252,8 @@ def build_system(
         ]
     )
     nodal = sample_nodal(assembly, grid)
-    if mode == "xfem" and assembly.n_interfaces:
-        layout = detect_enrichment(nodal, topo, grid)
-    else:
-        layout = DofLayout(
-            grid=grid,
-            enr_index=np.full(tuple(grid.n), -1, dtype=np.int64),
-            n_x=0,
-            cut_region=np.full((topo.n_tets,) + tuple(grid.n), -1, dtype=np.int8),
-            n_multi_interface=0,
-        )
+    # in p1 mode no interface cuts an element
+    layout = detect_enrichment(nodal if mode == "xfem" else nodal[:0], topo, grid)
     caches = build_caches(
         assembly, grid, topo, layout, nodal, stiffness, store_quadrature=store_quadrature
     )
