@@ -16,7 +16,8 @@ Exit codes: 0 success, 1 validation failure, 2 invalid configuration,
 XFFT_THREADS environment variable (flag wins, default 1) and sets both
 the FFT workers and the threads of numpy's bundled OpenBLAS, which runs
 the element sweep's matrix products; `solve` reports the FFT workers and
-the OpenBLAS threads in effect in summary.json.
+the OpenBLAS threads in effect in summary.json, with the time and the peak
+resident memory after the build and after the solve.
 """
 
 import argparse
@@ -24,6 +25,7 @@ import ctypes
 import glob
 import json
 import os
+import resource
 import sys
 import time
 
@@ -341,12 +343,22 @@ def set_threads(n: int):
     set_openblas_threads(n)
 
 
+def maxrss_mb() -> float:
+    """Peak resident memory of this process so far, in MB (1e6 bytes)."""
+    # ru_maxrss counts kilobytes on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
 def cmd_solve(cfg: RunConfig, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     system = cfg.build()
+    t1 = time.perf_counter()
+    maxrss_build = maxrss_mb()
     result = run_scheme(system, cfg.solver, cfg.loading)
-    wall = time.perf_counter() - t0
+    t2 = time.perf_counter()
+    maxrss_solve = maxrss_mb()
+    wall = t2 - t0
     write_convergence_csv(os.path.join(out_dir, cfg.log_name), result.history)
     summary = {
         "average_stress": [float(v) for v in result.sigma],
@@ -360,6 +372,10 @@ def cmd_solve(cfg: RunConfig, out_dir):
         "openblas_threads": openblas_threads(),
         "cache_bytes": system.caches.nbytes,
         "wall_time": wall,
+        "build_time": t1 - t0,
+        "solve_time": t2 - t1,
+        "maxrss_build_mb": maxrss_build,
+        "maxrss_solve_mb": maxrss_solve,
         "n_dofs": system.layout.n_dofs,
         "n_enriched_nodes": system.layout.n_x,
         "n_multi_interface_elements": system.layout.n_multi_interface,

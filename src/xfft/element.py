@@ -353,10 +353,12 @@ class ElementCaches:
     `voxel_phase` -1 are summed once into one operator on the flat dof
     vector: `special_dofs` lists the dofs they touch, three per touched id
     in ascending id order, `special_k` is the summed stiffness over those
-    dofs (block-sparse, 3x3 blocks) and `special_load` the
-    summed load map sum_e L_e^T Bfac_e, whose transpose maps the touched
-    dofs to volume-integrated stress.  `total_cv` is the volume-integrated
-    stiffness summed over every element.
+    dofs (block-sparse, 3x3 blocks; its pattern holds the node pairs that
+    share a special element, in both orientations, though the build sums
+    each element over one orientation of its pairs alone) and
+    `special_load` the summed load map sum_e L_e^T Bfac_e, whose transpose
+    maps the touched dofs to volume-integrated stress.  `total_cv` is the
+    volume-integrated stiffness summed over every element.
 
     No cut element keeps its matrices: `cut_a` and `cut_bfac` (internally
     scaled, as summed into `special_k`) are recomputed from `cut_levels`,
@@ -683,10 +685,13 @@ class _SpecialSum:
     (`n_ids` ids in all), so that its blocks are known before any element
     matrix is.  An element matrix is symmetric and its k nodes are
     distinct, so only its node-pair blocks l <= l' are added, and a key
-    (I, I) comes from l = l' alone:
-    `operator` adds the transposed sum at (J, I) to each block (I, J),
-    I != J.  The sums are kept as 9 planes, one per block entry (p, q),
-    so that each `np.add.at` works in one small array.
+    (I, I) comes from l = l' alone.  The sums are kept over these "half"
+    keys `hkeys` alone, as 9 planes, one per block entry (p, q), so that
+    each `np.add.at` works in one small array.  `operator` forms the full
+    block pattern once: block (I, J) is the half sum keyed (I, J) plus the
+    transpose of the one keyed (J, I).  The corner order of a tet is not
+    monotone in the ids, so a node pair may be keyed in both orientations,
+    and then both sums meet in one block.
     """
 
     def __init__(self, nodes, n_ids):
@@ -705,29 +710,11 @@ class _SpecialSum:
             il, jl = np.triu_indices(loc.shape[1])
             flat.append((loc[:, il] * nt + loc[:, jl]).ravel())
             shapes.append((len(loc), len(il)))
-        flat = np.concatenate(flat)
-        order = np.argsort(flat)
-        flat = flat[order]
-        first = np.concatenate([flat[:1] == flat[:1], flat[1:] != flat[:-1]])
-        hkeys = flat[first]
-        del flat
-        rank = np.cumsum(first)
-        rank -= 1
-        del first
-        inv = np.empty_like(rank)
-        inv[order] = rank
-        del order, rank
-
-        # every transposed key is a block of the operator too
-        rows, cols = np.divmod(hkeys, nt)
-        keys = np.concatenate([hkeys, cols * nt + rows])
-        del rows, cols
-        keys.sort()
-        self.keys = keys[np.concatenate([keys[:1] == keys[:1], keys[1:] != keys[:-1]])]
-        inv = np.searchsorted(self.keys, hkeys)[inv]
+        self.hkeys, inv = _rank(flat)
         parts = np.split(inv, np.cumsum([m * n for m, n in shapes])[:-1])
         self.inv = [p.reshape(shape) for p, shape in zip(parts, shapes)]
-        self.planes = np.zeros((9, len(self.keys)))
+        # one zero column past the sums, for blocks with no sum of their own
+        self.planes = np.zeros((9, len(self.hkeys) + 1))
         self.load = np.zeros(18 * nt)
 
     def add(self, kind, sel, a, bfac):
@@ -745,36 +732,67 @@ class _SpecialSum:
         """BSR stiffness and load map over the dofs of `touched`, scaled by
         `node_scale` (n_touched, 3).  Adds no more elements afterwards."""
         del self.local, self.inv
-        nt = len(self.touched)
-        rows, cols = np.divmod(self.keys, nt)
-        # mirror[i]: the position of key i's transpose
-        mirror = np.empty_like(rows)
-        mirror[np.argsort(cols * nt + rows)] = np.arange(len(rows))
-        diag = np.flatnonzero(rows == cols)
-        planes = self.planes
-        # K_IJ = S_IJ + S_JI^T, I != J: entry (p, q) gains the mirrored (q, p)
-        for p, q in zip(*np.triu_indices(3)):
-            pq, qp = planes[3 * p + q], planes[3 * q + p]
-            from_qp, from_pq = qp[mirror], pq[mirror]
-            from_qp[diag] = from_pq[diag] = 0.0
-            pq += from_qp
-            if p != q:
-                qp += from_pq
-        del mirror, from_qp, from_pq
-        node_scale = np.ascontiguousarray(node_scale.T)
-        for p, q in np.ndindex(3, 3):
-            planes[3 * p + q] *= node_scale[p][rows]
-            planes[3 * p + q] *= node_scale[q][cols]
-        blocks = np.ascontiguousarray(planes.T).reshape(-1, 3, 3)
-        del planes, self.planes
+        nt, n_half = len(self.touched), len(self.hkeys)
+        rows, cols = np.divmod(self.hkeys, nt)
+        off = np.flatnonzero(rows != cols)
+        # the blocks: every half key (I, J) and the transpose (J, I) of
+        # every off-diagonal one
+        parts = [self.hkeys, cols[off] * nt + rows[off]]
+        del rows, cols, self.hkeys
+        keys, at = _rank(parts)
+        # the half sum each block takes as it is and the one it takes
+        # transposed; the zero column n_half where there is none
+        direct = np.full(len(keys), n_half)
+        direct[at[:n_half]] = np.arange(n_half)
+        mirror = np.full(len(keys), n_half)
+        mirror[at[n_half:]] = off
+        del at, off
+        rows, cols = np.divmod(keys, nt)
+        del keys
+        # K_IJ = S_IJ + S_JI^T, then scaled, a chunk of blocks at a time: no
+        # plane is copied whole, and each chunk is written while in cache
+        scale = np.ascontiguousarray(node_scale.T)
+        blocks = np.empty((len(rows), 3, 3))
+        for lo in range(0, len(rows), _KEY_CHUNK):
+            ch = slice(lo, lo + _KEY_CHUNK)
+            k = self.planes.take(direct[ch], axis=1)
+            k += self.planes.take(mirror[ch], axis=1)[_TRANSPOSED]
+            k = k.reshape(3, 3, -1)
+            k *= scale[:, None, rows[ch]]
+            k *= scale[None, :, cols[ch]]
+            blocks[ch] = k.transpose(2, 0, 1)
+        del direct, mirror, self.planes
         indptr = np.searchsorted(rows, np.arange(nt + 1))
         k_mat = scipy.sparse.bsr_matrix((blocks, cols, indptr), shape=(3 * nt, 3 * nt))
         load = self.load.reshape(nt, 3, 6)
-        load *= node_scale.T[:, :, None]
+        load *= node_scale[:, :, None]
         return k_mat, load.reshape(3 * nt, 6)
 
 
+def _rank(parts):
+    """The distinct values of the concatenated arrays `parts`, sorted, and
+    the index of each of their entries among them.  Empties the list
+    `parts`, so that no input outlives the merge."""
+    flat = np.concatenate(parts)
+    parts.clear()
+    order = np.argsort(flat)
+    flat = flat[order]
+    first = np.concatenate([flat[:1] == flat[:1], flat[1:] != flat[:-1]])
+    distinct = flat[first]
+    del flat
+    rank = np.cumsum(first)
+    rank -= 1
+    del first
+    inv = np.empty_like(rank)
+    inv[order] = rank
+    return distinct, inv
+
+
 _PAIR_ENTRIES = {k: _pair_entries(k) for k in (4, 8)}
+# plane row 3 q + p of block entry (p, q)
+_TRANSPOSED = np.arange(9).reshape(3, 3).T.ravel()
+# blocks formed at a time by `_SpecialSum.operator` (295 kB of them)
+_KEY_CHUNK = 4096
 
 
 def build_caches(

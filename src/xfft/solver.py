@@ -3,10 +3,12 @@
 The global force residual is assembled in two parts.  A voxel whose six
 tets are all regular (uncut single-phase) is one 24-dof stencil of its
 phase.  A flat index built with the caches lists the 24 corner dofs of
-every such voxel, grouped by phase, so the sweep gathers the corner
-displacements with one fancy index, applies one 24x24 matrix per phase to
-that phase's rows and scatters the corner forces back with one
-`np.bincount` over the same index.  The cut and fallback ("special")
+every such voxel, grouped by phase.  The sweep takes its rows in blocks of
+at most `SWEEP_ROWS`, so that its temporaries stay bounded at any grid
+size: each block gathers its corner displacements with one fancy index,
+applies one 24x24 matrix per phase to that phase's rows in the block and
+scatters the corner forces back with one `np.bincount` over the block's
+dof range.  The cut and fallback ("special")
 elements, together with the plain tets of their voxels, were summed at
 build time into one block-sparse operator on the dofs they touch, so
 they add their forces with one sparse product on the flat dof vector.
@@ -46,6 +48,12 @@ ZERO6 = np.zeros(6)
 SIGMA_NORM_FLOOR = 1e-300
 
 INT8_MAX = 127
+
+# rows of `voxel_dofs` that one sweep block gathers: it bounds the sweep's
+# gathered corner displacements and forces to 3.1 MB each at any grid size
+# (one block over all regular voxels held 2 x 403 MB at N=128); the
+# benchmark's grids, at most 11,690 regular voxels, fit in one block
+SWEEP_ROWS = 16384
 
 
 class DofVector:
@@ -122,8 +130,21 @@ class System:
         self.symbol = symbol
         self.stiffness = np.asarray(stiffness, dtype=float)
         self.c_minus, self.c_plus = stiffness_bounds(list(self.stiffness))
+        # the sweep's row blocks: rows, dof range [d0, d1) of their corner
+        # dofs, and each phase's rows within the block
+        idx, bounds = caches.voxel_dofs, caches.voxel_bounds
+        self._sweep_blocks = []
+        for b0 in range(0, max(len(idx), 1), SWEEP_ROWS):
+            b1 = min(b0 + SWEEP_ROWS, len(idx))
+            if b1 - b0 == len(idx):
+                d0, d1 = 0, layout.n_dofs
+            else:
+                d0, d1 = int(idx[b0:b1].min()), int(idx[b0:b1].max()) + 1
+            local = np.clip(bounds, b0, b1) - b0
+            phase_rows = [slice(lo, hi) for lo, hi in zip(local[:-1], local[1:])]
+            self._sweep_blocks.append((slice(b0, b1), d0, d1, phase_rows))
         # summing a phase's rows as ones @ rows is one BLAS call
-        self._ones = np.ones(len(caches.voxel_dofs))
+        self._ones = np.ones(min(len(idx), SWEEP_ROWS))
 
     def zeros(self) -> DofVector:
         return DofVector.zeros(self.layout)
@@ -150,31 +171,42 @@ class System:
     def _sweep(self, u: DofVector, eps_bar, want_force=True):
         """One pass over the regular voxels plus the special-element operator.
 
-        The regular voxels' corner dofs are gathered and their forces
-        scattered back through the flat index `voxel_dofs`, one phase block
-        of rows per 24x24 stencil.  Returns (force residual or None,
-        volume-integrated stress (6,)).
+        The regular voxels' rows of `voxel_dofs` are taken in blocks of at
+        most `SWEEP_ROWS` rows.  Each block gathers its corner dofs, applies
+        each phase's 24x24 stencil to that phase's rows in the block, adds
+        their stress and scatters its corner forces with one `np.bincount`
+        over its dof range [d0, d1).  The special operator follows.
+        Returns (force residual or None, volume-integrated stress (6,)).
         """
         c = self.caches
         eps_bar = np.asarray(eps_bar, dtype=float)
-        idx, bounds = c.voxel_dofs, c.voxel_bounds
-        ue = u.data[idx]
-        fe = np.empty_like(ue) if want_force else None
         loaded = want_force and eps_bar.any()
         sig_total = c.total_cv @ eps_bar
-        for p in range(len(c.stiffness)):
-            rows = slice(bounds[p], bounds[p + 1])
-            sig_total += c.voxel_s[p] @ (self._ones[rows] @ ue[rows])
-            if want_force:
-                np.matmul(ue[rows], c.voxel_k[p].T, out=fe[rows])
-            if loaded:
-                fe[rows] += eps_bar @ c.voxel_s[p]
+        # one block scatters straight into a new vector; several add theirs
+        force = np.zeros(u.data.size) if want_force and len(self._sweep_blocks) > 1 else None
+        for rows, d0, d1, phase_rows in self._sweep_blocks:
+            idx = c.voxel_dofs[rows]
+            ue = u.data[idx]
+            fe = np.empty_like(ue) if want_force else None
+            for p, prow in enumerate(phase_rows):
+                sig_total += c.voxel_s[p] @ (self._ones[: prow.stop - prow.start] @ ue[prow])
+                if want_force:
+                    np.matmul(ue[prow], c.voxel_k[p].T, out=fe[prow])
+                if loaded:
+                    fe[prow] += eps_bar @ c.voxel_s[p]
+            if not want_force:
+                continue
+            f_block = np.bincount((idx - d0 if d0 else idx).ravel(), fe.ravel(), minlength=d1 - d0)
+            if force is None:
+                force = f_block
+            else:
+                force[d0:d1] += f_block
 
         us = u.data[c.special_dofs]
         sig_total += us @ c.special_load
         if not want_force:
             return None, sig_total
-        r = u.like(np.bincount(idx.ravel(), fe.ravel(), minlength=u.data.size))
+        r = u.like(force)
         r.data[c.special_dofs] += c.special_k @ us + c.special_load @ eps_bar
         return r, sig_total
 
@@ -344,7 +376,8 @@ def run_lcg(system: System, config: SolverConfig, eps_bar) -> SolveResult:
         z = system.precondition(f)
         res_sq_new = f.dot(z)
         beta = res_sq_new / res**2
-        d = d.like(beta * d.data - z.data)
+        d.data *= beta
+        d.data -= z.data
         res = float(np.sqrt(max(res_sq_new, 0.0)))
         k += 1
     return run.finish(u, converged, k, sigma, res)
@@ -454,7 +487,8 @@ def run_ncg(system: System, config: SolverConfig, eps_bar, line_search: str = "e
         z = system.precondition(f)
         res_new = system.res_norm(f, z)
         beta = res_new**2 / res**2
-        d = d.like(beta * d.data - z.data)
+        d.data *= beta
+        d.data -= z.data
         if f.dot(d) >= 0.0:
             d = z.scaled(-1.0)
         res = res_new

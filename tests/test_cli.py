@@ -249,6 +249,28 @@ def test_cli_summary_reports_cache_bytes_and_verified_residual(tmp_path):
     assert 0 < summary["residual_verified"] <= tol * np.linalg.norm(summary["average_stress"]) * 1.01
 
 
+def test_cli_summary_reports_build_and_solve_time_and_memory(tmp_path):
+    p = tmp_path / "sphere.json"
+    cfg = minimal_config(
+        phases=[
+            {"name": "m", "young": 1.5, "poisson": 0.25},
+            {"name": "s", "young": 3.0, "poisson": 0.3},
+        ],
+        geometry=[
+            {"type": "sphere", "center": [8, 8, 8], "radius": 5.0, "inside": "s", "outside": "m"}
+        ],
+    )
+    p.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    fields = ("build_time", "solve_time", "maxrss_build_mb", "maxrss_solve_mb", "wall_time")
+    for name in fields:
+        assert summary[name] > 0, name
+    # the peak is read after each phase, and a peak never falls
+    assert summary["maxrss_solve_mb"] >= summary["maxrss_build_mb"]
+    assert summary["build_time"] + summary["solve_time"] <= summary["wall_time"] * (1 + 1e-9)
+
+
 def test_too_many_phases_rejected(tmp_path):
     phases = [{"name": f"p{i}", "young": 1.0, "poisson": 0.3} for i in range(128)]
     with pytest.raises(ConfigError, match="phases: at most 127 phases"):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from helpers import dense_system, flatten_dofs, solve_dense, unflatten_dofs
 
+from xfft import solver
 from xfft.homogenize import hashin_cell, hashin_system, homogeneous_cell
 from xfft.mesh import Grid
 from xfft.microstructure import PhaseAssembly, Plane, Region, Sphere
 from xfft.solver import (
     SolverConfig,
+    System,
     build_system,
     run_basic,
     run_bb,
@@ -460,6 +462,69 @@ def test_voxel_index_on_non_cubic_grid_matches_dense_assembly():
         sigma = system.average_stress(u, eps)
         expect = (bmat.T @ flatten_dofs(u) + c.total_cv @ eps) / system.grid.volume
         assert np.allclose(sigma, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+
+
+def test_cut_cell_on_a_two_voxel_axis_matches_dense_assembly():
+    # on a 2-voxel axis the +1 and -1 neighbours of a node coincide, so two
+    # elements can hold the same node pair in opposite corner order and the
+    # special operator must merge both orientations into one block
+    assembly = PhaseAssembly([Region(Sphere((3.0, 8.0, 10.0), 2.6), 1, 0)], 0)
+    mats = [MaterialIso(1.0, 0.3), MaterialIso(10.0, 0.25)]
+    system = build_system(assembly, Grid((2, 4, 5), (6.0, 16.0, 20.0)), mats)
+    c = system.caches
+    assert c.n_cut > 0 and len(c.voxel_dofs) > 0
+    a, bmat = dense_system(system, assembly)
+    rng = np.random.default_rng(25)
+    for _ in range(2):
+        u = system.zeros()
+        u.data[:] = rng.standard_normal(u.data.shape)
+        eps = rng.standard_normal(6)
+        r_dense = a @ flatten_dofs(u) + bmat @ eps
+        r = system.residual(u, eps)
+        assert np.allclose(flatten_dofs(r), r_dense, rtol=1e-12, atol=1e-12 * np.abs(r_dense).max())
+        sigma = system.average_stress(u, eps)
+        expect = (bmat.T @ flatten_dofs(u) + c.total_cv @ eps) / system.grid.volume
+        assert np.allclose(sigma, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+
+
+@pytest.mark.parametrize("cell", ["hashin", "two_spheres", "hashin_p1"])
+def test_sweep_in_row_blocks_matches_one_block(monkeypatch, request, cell):
+    # 11-row blocks end short, the blocks holding the last voxel layer wrap
+    # to the first node layer, and where several phases have regular voxels
+    # (p1 mode) blocks cut across the phase boundaries of `voxel_dofs`: the
+    # sweep must still equal the one-block sweep
+    if cell == "two_spheres":
+        system = request.getfixturevalue("two_spheres_n8")[0]
+    else:
+        system = hashin_system(8, mode="p1" if cell == "hashin_p1" else "xfem")[0]
+    monkeypatch.setattr(solver, "SWEEP_ROWS", 11)
+    blocked = System(
+        system.grid, system.topo, system.layout, system.caches, system.symbol, system.stiffness
+    )
+    idx, bounds = system.caches.voxel_dofs, system.caches.voxel_bounds
+    n1, n2, n3 = system.grid.n
+    last_layer = idx[:, 0] // 3 // (n2 * n3) == n1 - 1
+    blocks = blocked._sweep_blocks
+    assert len(system._sweep_blocks) == 1
+    assert len(blocks) == -(-len(idx) // 11) and len(idx) % 11
+    assert any(last_layer[rows].any() for rows, *_ in blocks)
+    straddle = any(sum(r.stop > r.start for r in phase_rows) > 1 for *_, phase_rows in blocks)
+    assert straddle == (np.count_nonzero(np.diff(bounds)) > 1) == (cell == "hashin_p1")
+
+    rng = np.random.default_rng(31)
+    u = system.zeros()
+    u.data[:] = rng.standard_normal(u.data.shape)
+    for eps in (rng.standard_normal(6), np.zeros(6)):
+        (r_one, sig_one), (r_blk, sig_blk) = system._sweep(u, eps), blocked._sweep(u, eps)
+        assert np.abs(r_blk.data - r_one.data).max() <= 1e-13 * np.abs(r_one.data).max()
+        assert np.abs(sig_blk - sig_one).max() <= 1e-13 * np.abs(sig_one).max()
+        assert np.abs(blocked.average_stress(u, eps) - system.average_stress(u, eps)).max() <= (
+            1e-13 * np.abs(sig_one).max() / system.grid.volume
+        )
+    config = SolverConfig("lcg", 1e-8, 500)
+    for eps in (EPS_HYDRO, np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])):
+        one, blk = run_lcg(system, config, eps), run_lcg(blocked, config, eps)
+        assert one.converged and blk.iterations == one.iterations
 
 
 def test_results_bitwise_equal_for_one_and_two_openblas_threads_n16():
