@@ -71,6 +71,10 @@ def _check_keys(obj, path, required, optional=()):
     _require(not unknown, path, f"unknown key(s) {sorted(unknown)}")
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _vector(x, path, n):
     _require(
         isinstance(x, (list, tuple)) and len(x) == n, path, f"expected {n} numbers"
@@ -84,6 +88,13 @@ def _sphere(obj, path):
     try:
         return Sphere(center=center, radius=float(obj["radius"]))
     except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _solver_config(path, **kwargs):
+    try:
+        return SolverConfig(**kwargs)
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -143,24 +154,30 @@ class RunConfig:
 
         s = data["solver"]
         _check_keys(s, "solver", required=(), optional=("scheme", "tol", "maxit"))
-        try:
-            self.solver = SolverConfig(
-                scheme=s.get("scheme", "lcg"),
-                tol=float(s.get("tol", 1e-7)),
-                maxit=int(s.get("maxit", 500)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"solver: {exc}") from None
+        tol, maxit = s.get("tol", 1e-7), s.get("maxit", 500)
+        _require(_is_int(tol) or isinstance(tol, float), "solver.tol", "expected a number")
+        _require(_is_int(maxit), "solver.maxit", "expected an integer")
+        self.solver = _solver_config(
+            "solver", scheme=s.get("scheme", "lcg"), tol=float(tol), maxit=maxit
+        )
 
         out = data.get("outputs", {})
         _check_keys(out, "outputs", required=(), optional=("fields", "log", "study_ns"))
-        self.dump_fields = bool(out.get("fields", False))
+        self.dump_fields = out.get("fields", False)
+        _require(isinstance(self.dump_fields, bool), "outputs.fields", "expected true or false")
         self.log_name = out.get("log", "convergence.csv")
+        _require(
+            isinstance(self.log_name, str)
+            and self.log_name not in ("", ".", "..")
+            and os.path.basename(self.log_name) == self.log_name,
+            "outputs.log",
+            "expected a file name, written inside the output directory",
+        )
         self.study_ns = out.get("study_ns", [])
         _require(
-            all(isinstance(v, int) and v >= 2 for v in self.study_ns),
+            isinstance(self.study_ns, list) and all(_is_int(v) and v >= 2 for v in self.study_ns),
             "outputs.study_ns",
-            "expected ints >= 2",
+            "expected a list of ints >= 2",
         )
 
     def _phase_index(self, name, path):
@@ -512,10 +529,17 @@ def cmd_symbol_dump(cfg: RunConfig, out_dir):
 
 
 def _threads(args):
+    """Thread count from --threads, else XFFT_THREADS, else 1."""
     if args.threads is not None:
-        return args.threads
-    env = os.environ.get("XFFT_THREADS")
-    return int(env) if env else 1
+        key, value = "--threads", args.threads
+    else:
+        key, value = "XFFT_THREADS", os.environ.get("XFFT_THREADS") or "1"
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
+    _require(n >= 1, key, f"expected a positive integer, got {value!r}")
+    return n
 
 
 def main(argv=None):
@@ -541,7 +565,20 @@ def main(argv=None):
     p_val.add_argument("--scheme", default="lcg")
 
     args = parser.parse_args(argv)
-    set_threads(_threads(args))
+    try:
+        set_threads(_threads(args))
+        if args.command != "validate":
+            cfg = load_config(args.config)
+            if args.tol is not None or args.scheme is not None:
+                cfg.solver = _solver_config(
+                    "--scheme/--tol",
+                    scheme=args.scheme or cfg.solver.scheme,
+                    tol=args.tol if args.tol is not None else cfg.solver.tol,
+                    maxit=cfg.solver.maxit,
+                )
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
 
     if args.command == "validate":
         try:
@@ -550,18 +587,6 @@ def main(argv=None):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_CONFIG
         return EXIT_OK if ok else EXIT_VALIDATE_FAIL
-
-    try:
-        cfg = load_config(args.config)
-        if args.tol is not None or args.scheme is not None:
-            cfg.solver = SolverConfig(
-                scheme=args.scheme or cfg.solver.scheme,
-                tol=args.tol if args.tol is not None else cfg.solver.tol,
-                maxit=cfg.solver.maxit,
-            )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
 
     if args.command == "solve":
         return cmd_solve(cfg, args.out)

@@ -1041,7 +1041,6 @@ def evaluate_strain(
 
     for t in range(6):
         verts = tet_vertices(topo, grid, t)
-        inv_d = np.linalg.inv((verts[1:] - verts[0]).T)
         for enriched in (False, True):
             sel = np.nonzero((ttype == t) & ((cut_slot >= 0) == enriched))[0]
             if not len(sel):
@@ -1054,7 +1053,8 @@ def evaluate_strain(
             s = cut_slot[sel]
             xloc = (xi[sel] * h) - verts[0]
             lam = np.empty((len(sel), 4))
-            lam[:, 1:] = xloc @ inv_d.T
+            # grads[t][1:] is the inverse of the tet's edge matrix
+            lam[:, 1:] = xloc @ caches.grads[t][1:].T
             lam[:, 0] = 1.0 - lam[:, 1:].sum(axis=1)
             levels = caches.cut_levels[s]
             side = np.where(np.einsum("mb,mb->m", lam, levels) >= 0.0, 1.0, -1.0)

@@ -117,19 +117,6 @@ def corner_nodes(voxels, offsets, n):
     return out
 
 
-def corner_fields(nodal: np.ndarray, topo: ElementTopology, ttype: int):
-    """Values of a nodal field at the 4 corners of tet `ttype` of every voxel.
-
-    `nodal` has shape (..., N1, N2, N3); the result is a list of 4 arrays of
-    the same shape, entry l holding the field at corner l of the tet (the
-    voxel index is the voxel's origin corner).
-    """
-    out = []
-    for a, b, c in topo.offsets[ttype]:
-        out.append(np.roll(nodal, shift=(-a, -b, -c), axis=(-3, -2, -1)))
-    return out
-
-
 @dataclass
 class DofLayout:
     """Enriched-node bookkeeping and the numbering of the flat dof vector.
@@ -179,30 +166,27 @@ def detect_enrichment(nodal: np.ndarray, topo: ElementTopology, grid: Grid) -> D
     nodal = np.asarray(nodal)
     if nodal.ndim == 3:
         nodal = nodal[None]
-    n_regions = nodal.shape[0]
     shape = tuple(grid.n)
     cut_region = np.full((topo.n_tets,) + shape, -1, dtype=np.int8)
     n_cut_fields = np.zeros((topo.n_tets,) + shape, dtype=np.int8)
-    for t in range(topo.n_tets):
-        for k in range(n_regions):
-            vals = corner_fields(nodal[k], topo, t)
-            pos = np.zeros(shape, dtype=bool)
-            neg = np.zeros(shape, dtype=bool)
-            for v in vals:
-                pos |= v > 0
-                neg |= v < 0
-            mixed = pos & neg
+    for k, field in enumerate(nodal):
+        # the field's signs at the 8 corners of every voxel (its origin corner)
+        sign = np.sign(field).astype(np.int8)
+        at_corner = np.stack([np.roll(sign, -off, axis=(0, 1, 2)) for off in CORNER_OFFSETS])
+        for t, corners in enumerate(topo.corners):
+            signs = at_corner[corners]
+            mixed = (signs.max(axis=0) > 0) & (signs.min(axis=0) < 0)
             cut_region[t][mixed] = k
             n_cut_fields[t] += mixed
-        cut_region[t][n_cut_fields[t] > 1] = -2
+    cut_region[n_cut_fields > 1] = -2
 
+    # a node is enriched when a cut tet of any voxel has it as a corner
+    is_cut = cut_region >= 0
     enriched = np.zeros(shape, dtype=bool)
-    for t in range(topo.n_tets):
-        is_cut = cut_region[t] >= 0
-        if not is_cut.any():
-            continue
-        for a, b, c in topo.offsets[t]:
-            enriched |= np.roll(is_cut, shift=(a, b, c), axis=(0, 1, 2))
+    for l, off in enumerate(CORNER_OFFSETS):
+        near = np.any(is_cut[(topo.corners == l).any(axis=1)], axis=0)
+        if near.any():
+            enriched |= np.roll(near, off, axis=(0, 1, 2))
 
     enr_index = np.full(shape, -1, dtype=np.int64)
     n_x = int(enriched.sum())

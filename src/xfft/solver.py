@@ -26,6 +26,11 @@ where res_k is the preconditioned residual norm of the cell-averaged
 assembly, sqrt(r^T P^-1 r) / |Y|.  This normalization keeps the measure
 mesh-stable and consistent with the averaged stress on the right-hand
 side; `System.res_norm` itself returns the raw quadratic form.
+
+Every scheme runs one loop contract through `_Run`: `run.stop` tests
+iterate k, records history row k and ends the loop at the criterion or at
+k = maxit, so a solve that stops at iterate k reports k iterations and
+k + 1 history rows.  The schemes own only their step arithmetic.
 """
 
 import logging
@@ -168,7 +173,7 @@ class System:
         idx = self._tet_dofs(t).ravel()
         acc += np.bincount(idx, fe.ravel(), minlength=acc.size).reshape(acc.shape)
 
-    def _sweep(self, u: DofVector, eps_bar, want_force=True):
+    def _sweep(self, u: DofVector, eps_bar):
         """One pass over the regular voxels plus the special-element operator.
 
         The regular voxels' rows of `voxel_dofs` are taken in blocks of at
@@ -176,26 +181,23 @@ class System:
         each phase's 24x24 stencil to that phase's rows in the block, adds
         their stress and scatters its corner forces with one `np.bincount`
         over its dof range [d0, d1).  The special operator follows.
-        Returns (force residual or None, volume-integrated stress (6,)).
+        Returns (force residual, volume-integrated stress (6,)).
         """
         c = self.caches
         eps_bar = np.asarray(eps_bar, dtype=float)
-        loaded = want_force and eps_bar.any()
+        loaded = eps_bar.any()
         sig_total = c.total_cv @ eps_bar
         # one block scatters straight into a new vector; several add theirs
-        force = np.zeros(u.data.size) if want_force and len(self._sweep_blocks) > 1 else None
+        force = np.zeros(u.data.size) if len(self._sweep_blocks) > 1 else None
         for rows, d0, d1, phase_rows in self._sweep_blocks:
             idx = c.voxel_dofs[rows]
             ue = u.data[idx]
-            fe = np.empty_like(ue) if want_force else None
+            fe = np.empty_like(ue)
             for p, prow in enumerate(phase_rows):
                 sig_total += c.voxel_s[p] @ (self._ones[: prow.stop - prow.start] @ ue[prow])
-                if want_force:
-                    np.matmul(ue[prow], c.voxel_k[p].T, out=fe[prow])
+                np.matmul(ue[prow], c.voxel_k[p].T, out=fe[prow])
                 if loaded:
                     fe[prow] += eps_bar @ c.voxel_s[p]
-            if not want_force:
-                continue
             f_block = np.bincount((idx - d0 if d0 else idx).ravel(), fe.ravel(), minlength=d1 - d0)
             if force is None:
                 force = f_block
@@ -204,8 +206,6 @@ class System:
 
         us = u.data[c.special_dofs]
         sig_total += us @ c.special_load
-        if not want_force:
-            return None, sig_total
         r = u.like(force)
         r.data[c.special_dofs] += c.special_k @ us + c.special_load @ eps_bar
         return r, sig_total
@@ -214,15 +214,15 @@ class System:
 
     def residual(self, u: DofVector, eps_bar) -> DofVector:
         """Assembled force residual r(u) = sum_e L_e^T (A_e u_e + Bfac_e eps_bar)."""
-        return self._sweep(u, eps_bar, want_force=True)[0]
+        return self._sweep(u, eps_bar)[0]
 
     def operator(self, d: DofVector) -> DofVector:
         """Linear part A d of the residual."""
-        return self._sweep(d, ZERO6, want_force=True)[0]
+        return self._sweep(d, ZERO6)[0]
 
     def average_stress(self, u: DofVector, eps_bar) -> np.ndarray:
         """Cell-averaged stress <sigma> = (1/|Y|) sum_e (S_e u_e + V_e <C>_e eps_bar)."""
-        return self._sweep(u, eps_bar, want_force=False)[1] / self.grid.volume
+        return self._sweep(u, eps_bar)[1] / self.grid.volume
 
     def precondition(self, f: DofVector) -> DofVector:
         """Block preconditioner: Green inverse on the grid, identity on enriched."""
@@ -236,7 +236,8 @@ class System:
         if z is None:
             z = self.precondition(f)
         val = f.dot(z)
-        if val < -1e-14 * max(f.dot(f), 1e-300):
+        # f.f only scales the rounding allowance of a negative form
+        if val < 0.0 and val < -1e-14 * max(f.dot(f), 1e-300):
             raise RuntimeError("preconditioner produced a negative quadratic form")
         return float(np.sqrt(max(val, 0.0)))
 
@@ -299,7 +300,13 @@ def build_system(
 
 
 class _Run:
-    """Shared bookkeeping: stopping criterion, history, timing."""
+    """The one owner of the iteration loop that every scheme runs.
+
+    `evaluate(u)` is one sweep, one preconditioner application and one
+    `res_norm`.  `stop(res, sigma)`, called once per iterate, appends
+    history row k, logs it at DEBUG, sets `converged` and returns True at
+    the criterion or at `maxit`, else advances `k`; `finish` reads both.
+    """
 
     def __init__(self, system: System, config: SolverConfig, eps_bar):
         self.system = system
@@ -307,37 +314,48 @@ class _Run:
         self.eps_bar = np.asarray(eps_bar, dtype=float)
         self.inv_vol = 1.0 / system.grid.volume
         self.t0 = time.perf_counter()
+        self.k = 0
+        self.converged = False
         self.history = []
         self.energies = []
 
-    def record(self, k, res_raw, sigma):
+    def evaluate(self, u: DofVector):
+        """(f, sigma, z, res) at u: residual, average stress, P^-1 f, |f|_P."""
+        f, sig_int = self.system._sweep(u, self.eps_bar)
+        z = self.system.precondition(f)
+        return f, sig_int / self.system.grid.volume, z, self.system.res_norm(f, z)
+
+    def _measure(self, res_raw, sigma):
+        """(res, res / |<sigma>|, whether res meets the stopping criterion)."""
         res = res_raw * self.inv_vol
         sig_norm = float(np.linalg.norm(sigma))
         rel = res / sig_norm if sig_norm > 0 else np.inf
-        self.history.append((k, res, rel, time.perf_counter() - self.t0))
-        log.debug("%s iteration %d: res %.3e, res/|<sigma>| %.3e", self.config.scheme, k, res, rel)
+        scale = sig_norm if sig_norm >= SIGMA_NORM_FLOOR else 1.0
+        return res, rel, res <= self.config.tol * scale
 
-    def done(self, res_raw, sigma) -> bool:
-        res = res_raw * self.inv_vol
-        sig_norm = float(np.linalg.norm(sigma))
-        if sig_norm < SIGMA_NORM_FLOOR:
-            return res <= self.config.tol
-        return res <= self.config.tol * sig_norm
+    def stop(self, res_raw, sigma) -> bool:
+        res, rel, self.converged = self._measure(res_raw, sigma)
+        self.history.append((self.k, res, rel, time.perf_counter() - self.t0))
+        scheme = self.config.scheme
+        log.debug("%s iteration %d: res %.3e, res/|<sigma>| %.3e", scheme, self.k, res, rel)
+        if self.converged or self.k >= self.config.maxit:
+            return True
+        self.k += 1
+        return False
 
-    def finish(self, u, converged, k, sigma, res_raw) -> SolveResult:
-        f_check = self.system.residual(u, self.eps_bar)
-        res_check = self.system.res_norm(f_check)
+    def finish(self, u, sigma, res_raw) -> SolveResult:
+        res_check = self.system.res_norm(self.system.residual(u, self.eps_bar))
         return SolveResult(
             u=u,
-            converged=converged,
-            iterations=k,
+            converged=self.converged,
+            iterations=self.k,
             scheme=self.config.scheme,
             sigma=np.asarray(sigma, dtype=float),
             history=self.history,
             energies=self.energies,
             res_final=res_raw * self.inv_vol,
             res_verified=res_check * self.inv_vol,
-            verified_within_tol=self.done(res_check, sigma),
+            verified_within_tol=self._measure(res_check, sigma)[2],
             wall_time=time.perf_counter() - self.t0,
         )
 
@@ -347,22 +365,13 @@ def run_lcg(system: System, config: SolverConfig, eps_bar) -> SolveResult:
     run = _Run(system, config, eps_bar)
     vol = system.grid.volume
     u = system.zeros()
-    f, sig_int = system._sweep(u, eps_bar)
+    f, sigma, z, res = run.evaluate(u)
     r0 = f.copy()
-    sigma = sig_int / vol
-    z = system.precondition(f)
-    res = system.res_norm(f, z)
     d = z.scaled(-1.0)
-    k = 0
-    converged = False
     while True:
-        run.record(k, res, sigma)
         run.energies.append(0.5 * (u.dot(f) + u.dot(r0)))
-        if run.done(res, sigma):
-            converged = True
-            break
-        if k >= config.maxit:
-            break
+        if run.stop(res, sigma):
+            return run.finish(u, sigma, res)
         w, dsig_int = system._sweep(d, ZERO6)
         dw = d.dot(w)
         if dw <= 0.0:
@@ -379,32 +388,18 @@ def run_lcg(system: System, config: SolverConfig, eps_bar) -> SolveResult:
         d.data *= beta
         d.data -= z.data
         res = float(np.sqrt(max(res_sq_new, 0.0)))
-        k += 1
-    return run.finish(u, converged, k, sigma, res)
 
 
 def run_basic(system: System, config: SolverConfig, eps_bar) -> SolveResult:
     """Preconditioned gradient descent with the fixed step 1/s0."""
     run = _Run(system, config, eps_bar)
-    vol = system.grid.volume
     inv_s0 = 1.0 / system.step_size
     u = system.zeros()
-    k = 0
-    converged = False
     while True:
-        f, sig_int = system._sweep(u, eps_bar)
-        sigma = sig_int / vol
-        z = system.precondition(f)
-        res = system.res_norm(f, z)
-        run.record(k, res, sigma)
-        if run.done(res, sigma):
-            converged = True
-            break
-        if k >= config.maxit:
-            break
+        f, sigma, z, res = run.evaluate(u)
+        if run.stop(res, sigma):
+            return run.finish(u, sigma, res)
         u.axpy(-inv_s0, z)
-        k += 1
-    return run.finish(u, converged, k, sigma, res)
 
 
 def run_bb(system: System, config: SolverConfig, eps_bar) -> SolveResult:
@@ -416,24 +411,13 @@ def run_bb(system: System, config: SolverConfig, eps_bar) -> SolveResult:
     denominator.  The residual may grow between iterations.
     """
     run = _Run(system, config, eps_bar)
-    vol = system.grid.volume
     inv_s0 = 1.0 / system.step_size
     u = system.zeros()
-    z_prev = None
-    tau_prev = res_prev = None
-    k = 0
-    converged = False
+    z_prev = tau_prev = res_prev = None
     while True:
-        f, sig_int = system._sweep(u, eps_bar)
-        sigma = sig_int / vol
-        z = system.precondition(f)
-        res = system.res_norm(f, z)
-        run.record(k, res, sigma)
-        if run.done(res, sigma):
-            converged = True
-            break
-        if k >= config.maxit:
-            break
+        f, sigma, z, res = run.evaluate(u)
+        if run.stop(res, sigma):
+            return run.finish(u, sigma, res)
         tau = inv_s0
         if z_prev is not None:
             # s = -tau_prev z_prev, y = f - f_prev;  <s,s>_P = tau_prev^2 res_prev^2
@@ -442,8 +426,6 @@ def run_bb(system: System, config: SolverConfig, eps_bar) -> SolveResult:
                 tau = tau_prev**2 * res_prev**2 / denom
         u.axpy(-tau, z)
         z_prev, tau_prev, res_prev = z, tau, res
-        k += 1
-    return run.finish(u, converged, k, sigma, res)
 
 
 def run_ncg(system: System, config: SolverConfig, eps_bar, line_search: str = "exact"):
@@ -462,20 +444,9 @@ def run_ncg(system: System, config: SolverConfig, eps_bar, line_search: str = "e
     run = _Run(system, config, eps_bar)
     vol = system.grid.volume
     u = system.zeros()
-    f, sig_int = system._sweep(u, eps_bar)
-    sigma = sig_int / vol
-    z = system.precondition(f)
-    res = system.res_norm(f, z)
+    f, sigma, z, res = run.evaluate(u)
     d = z.scaled(-1.0)
-    k = 0
-    converged = False
-    while True:
-        run.record(k, res, sigma)
-        if run.done(res, sigma):
-            converged = True
-            break
-        if k >= config.maxit:
-            break
+    while not run.stop(res, sigma):
         w, dsig_int = system._sweep(d, ZERO6)
         dw = d.dot(w)
         if dw <= 0.0:
@@ -492,8 +463,7 @@ def run_ncg(system: System, config: SolverConfig, eps_bar, line_search: str = "e
         if f.dot(d) >= 0.0:
             d = z.scaled(-1.0)
         res = res_new
-        k += 1
-    return run.finish(u, converged, k, sigma, res)
+    return run.finish(u, sigma, res)
 
 
 _SCHEMES = {"lcg": run_lcg, "basic": run_basic, "bb": run_bb, "ncg": run_ncg}

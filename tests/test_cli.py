@@ -73,6 +73,45 @@ def test_invalid_values_rejected():
         RunConfig(minimal_config(solver={"scheme": "gauss"}))
 
 
+@pytest.mark.parametrize(
+    "overrides, argv, env, key",
+    [
+        ({"outputs": {"fields": "false"}}, ["solve"], None, "outputs.fields"),
+        ({"outputs": {"log": 5}}, ["solve"], None, "outputs.log"),
+        ({"outputs": {"study_ns": 5}}, ["solve"], None, "outputs.study_ns"),
+        ({"outputs": {"log": "{tmp}/outside.csv"}}, ["solve"], None, "outputs.log"),
+        ({"outputs": {"log": "../outside.csv"}}, ["solve"], None, "outputs.log"),
+        ({"solver": {"maxit": 3.7}}, ["solve"], None, "solver.maxit"),
+        ({"solver": {"tol": True}}, ["solve"], None, "solver.tol"),
+        ({}, ["solve", "--scheme", "gauss"], None, "--scheme"),
+        ({}, ["solve", "--tol", "-1"], None, "--tol"),
+        ({}, ["solve"], "abc", "XFFT_THREADS"),
+        ({}, ["solve"], "0", "XFFT_THREADS"),
+        ({}, ["--threads", "0", "solve"], None, "--threads"),
+    ],
+    ids=[
+        "fields-string", "log-int", "study_ns-int", "log-absolute", "log-parent-dir",
+        "maxit-float", "tol-bool", "flag-scheme-unknown", "flag-tol-negative",
+        "env-threads-abc", "env-threads-0", "flag-threads-0",
+    ],
+)
+def test_cli_rejects_invalid_outputs_solver_and_threads(
+    tmp_path, monkeypatch, capsys, overrides, argv, env, key
+):
+    # rejected with the key named, before anything is solved or written
+    if env is None:
+        monkeypatch.delenv("XFFT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("XFFT_THREADS", env)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(minimal_config(**overrides)).replace("{tmp}", str(tmp_path)))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(p), "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "outside.csv").exists()
+    assert not (out / "displacement.f64").exists()
+
+
 def test_geometry_outside_model_rejected(tmp_path):
     sphere = {"type": "sphere", "center": [8, 8, 8], "radius": -2.0, "inside": "m", "outside": "m"}
     with pytest.raises(ConfigError, match=r"geometry\[0\]: sphere radius"):

@@ -325,9 +325,10 @@ def test_scheme_dispatch_and_config_validation():
         assert res.converged and res.scheme == scheme
 
 
-def test_nonconverged_flagged():
+@pytest.mark.parametrize("scheme", ["lcg", "basic", "bb", "ncg"])
+def test_nonconverged_flagged(scheme):
     system, _ = hashin_system(8, store_quadrature=False)
-    res = run_lcg(system, SolverConfig("lcg", tol=1e-13, maxit=3), EPS_HYDRO)
+    res = run_scheme(system, SolverConfig(scheme, tol=1e-13, maxit=3), EPS_HYDRO)
     assert not res.converged
     assert res.iterations == 3
 
@@ -427,17 +428,18 @@ def test_results_bitwise_equal_for_one_and_two_openblas_threads():
     assert [row[:3] for row in one.history] == [row[:3] for row in two.history]
 
 
-def test_progress_logged_once_per_iteration_at_debug(caplog):
+@pytest.mark.parametrize("scheme", ["lcg", "basic", "bb", "ncg"])
+def test_progress_logged_once_per_iteration_at_debug(caplog, scheme):
     import logging
 
     system, _ = hashin_system(8, store_quadrature=False)
     with caplog.at_level(logging.DEBUG, logger="xfft.solver"):
-        res = run_lcg(system, SolverConfig(scheme="lcg", tol=1e-10, maxit=200), EPS_HYDRO)
+        res = run_scheme(system, SolverConfig(scheme=scheme, tol=1e-10, maxit=200), EPS_HYDRO)
     records = [r for r in caplog.records if r.name == "xfft.solver"]
     # one record per history row: iterations 0 .. res.iterations
     assert len(records) == len(res.history) == res.iterations + 1
     assert all(r.levelno == logging.DEBUG for r in records)
-    assert all(f"lcg iteration {k}:" in r.getMessage() for k, r in enumerate(records))
+    assert all(f"{scheme} iteration {k}:" in r.getMessage() for k, r in enumerate(records))
     assert not [r for r in caplog.records if r.levelno >= logging.INFO]
 
 
