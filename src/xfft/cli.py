@@ -24,6 +24,7 @@ import argparse
 import ctypes
 import glob
 import json
+import math
 import os
 import resource
 import sys
@@ -75,19 +76,30 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _number(x, path):
+    """`x` as a float, when it is a finite JSON number: booleans, strings,
+    NaN and infinities (which `json.load` accepts) are rejected."""
+    if isinstance(x, float):
+        finite = math.isfinite(x)
+    else:
+        finite = _is_int(x) and abs(x) <= sys.float_info.max
+    _require(finite, path, "expected a finite number")
+    return float(x)
+
+
 def _vector(x, path, n):
     _require(
         isinstance(x, (list, tuple)) and len(x) == n, path, f"expected {n} numbers"
     )
-    _require(all(isinstance(v, (int, float)) for v in x), path, "expected numbers")
-    return [float(v) for v in x]
+    return [_number(v, path) for v in x]
 
 
 def _sphere(obj, path):
     center = tuple(_vector(obj["center"], path + ".center", 3))
+    radius = _number(obj["radius"], path + ".radius")
     try:
-        return Sphere(center=center, radius=float(obj["radius"]))
-    except (TypeError, ValueError) as exc:
+        return Sphere(center=center, radius=radius)
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -127,11 +139,11 @@ class RunConfig:
             _check_keys(ph, path, required=("name", "young", "poisson"))
             _require(isinstance(ph["name"], str), path + ".name", "expected a string")
             _require(ph["name"] not in self.phase_names, path + ".name", "duplicate phase name")
+            young = _number(ph["young"], path + ".young")
+            poisson = _number(ph["poisson"], path + ".poisson")
             try:
-                self.materials.append(
-                    MaterialIso(young=float(ph["young"]), poisson=float(ph["poisson"]))
-                )
-            except (TypeError, ValueError) as exc:
+                self.materials.append(MaterialIso(young=young, poisson=poisson))
+            except ValueError as exc:
                 raise ConfigError(f"{path}: {exc}") from None
             self.phase_names.append(ph["name"])
 
@@ -154,12 +166,9 @@ class RunConfig:
 
         s = data["solver"]
         _check_keys(s, "solver", required=(), optional=("scheme", "tol", "maxit"))
-        tol, maxit = s.get("tol", 1e-7), s.get("maxit", 500)
-        _require(_is_int(tol) or isinstance(tol, float), "solver.tol", "expected a number")
+        tol, maxit = _number(s.get("tol", 1e-7), "solver.tol"), s.get("maxit", 500)
         _require(_is_int(maxit), "solver.maxit", "expected an integer")
-        self.solver = _solver_config(
-            "solver", scheme=s.get("scheme", "lcg"), tol=float(tol), maxit=maxit
-        )
+        self.solver = _solver_config("solver", scheme=s.get("scheme", "lcg"), tol=tol, maxit=maxit)
 
         out = data.get("outputs", {})
         _check_keys(out, "outputs", required=(), optional=("fields", "log", "study_ns"))
@@ -448,15 +457,18 @@ def cmd_sweep(cfg: RunConfig, out_dir):
                 + ",".join(f"{v:.17g}" for v in sig)
                 + "\n"
             )
-        if len(rows) >= 3 and len({r[1] for r in rows}) == len(rows):
-            finest = rows[-1][1]
-            errs = [abs(r[1] - finest) for r in rows[:-1]]
-            if all(e > 0 for e in errs):
-                hs = [min(l / r[0] for l in cfg.lengths) for r in rows[:-1]]
-                slope = fit_slope(hs, errs)
-                fh.write(f"# slope_vs_finest,{slope:.6g}\n")
-        else:
+        distinct = len({r[1] for r in rows})
+        errs = [abs(r[1] - rows[-1][1]) for r in rows[:-1]]
+        if len(rows) < 3:
             print("warning: fewer than 3 resolutions, no slope fitted")
+        elif distinct < len(rows) or not all(e > 0 for e in errs):
+            print(
+                f"warning: {len(rows)} resolutions give {distinct} distinct responses, "
+                "no slope fitted"
+            )
+        else:
+            hs = [min(l / r[0] for l in cfg.lengths) for r in rows[:-1]]
+            fh.write(f"# slope_vs_finest,{fit_slope(hs, errs):.6g}\n")
     print(f"study written to {path}")
     return status
 
@@ -466,10 +478,15 @@ _BUILTINS = ("homogeneous", "laminate", "hashin")
 
 def cmd_validate(name, tol_override=None, scheme="lcg"):
     """Run a built-in golden case against its closed-form reference."""
+
+    def solver_config(tol, maxit):
+        tol = tol if tol_override is None else tol_override
+        return SolverConfig(scheme=scheme, tol=tol, maxit=maxit)
+
     if name == "homogeneous":
         assembly, materials, lengths = homogeneous_cell()
+        config = solver_config(1e-10, 100)
         system = build_system(assembly, Grid((8, 8, 8), lengths), materials)
-        config = SolverConfig(scheme=scheme, tol=tol_override or 1e-10, maxit=100)
         eps = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
         res = run_scheme(system, config, eps)
         ref = iso_stiffness(materials[0]) @ eps
@@ -480,8 +497,8 @@ def cmd_validate(name, tol_override=None, scheme="lcg"):
         return ok
     if name == "laminate":
         assembly, materials, lengths = laminate_cell()
+        config = solver_config(1e-12, 400)
         system = build_system(assembly, Grid((8, 8, 8), lengths), materials)
-        config = SolverConfig(scheme=scheme, tol=tol_override or 1e-12, maxit=400)
         eff = effective_stiffness(system, config)
         ref = laminate_cell_reference(materials)
         err = float(np.abs(eff.stiffness - ref).max() / np.abs(ref).max())
@@ -491,8 +508,8 @@ def cmd_validate(name, tol_override=None, scheme="lcg"):
         return ok
     if name == "hashin":
         assembly, materials, lengths = hashin_cell()
+        config = solver_config(1e-7, 300)
         system = build_system(assembly, Grid((16, 16, 16), lengths), materials)
-        config = SolverConfig(scheme=scheme, tol=tol_override or 1e-7, maxit=300)
         k_eff, res = bulk_modulus_hydrostatic(system, config)
         err = rel_error(k_eff, hashin_bulk_reference(materials))
         ok = err < 1e-3 and 24 <= res.iterations <= 36 and res.converged

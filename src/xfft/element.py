@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .mesh import CORNER_OFFSETS, DofLayout, ElementTopology, Grid, corner_nodes, tet_vertices
+from .mesh import CORNER_OFFSETS, DofLayout, ElementTopology, Grid, corner_nodes
 
 SQRT2 = np.sqrt(2.0)
 
@@ -104,6 +104,21 @@ def b_matrix(grads: np.ndarray) -> np.ndarray:
     out[..., 3, :, 2] = out[..., 5, :, 0] = gy / SQRT2
     out[..., 4, :, 2] = out[..., 5, :, 1] = gx / SQRT2
     return out.reshape(g.shape[:-2] + (6, 3 * n))
+
+
+def tet_table(topo: ElementTopology, grid: Grid):
+    """Vertices (6, 4, 3) in the voxel at the origin, shape gradients
+    (6, 4, 3) and strain matrices (6, 6, 12) of the six tet types."""
+    verts = topo.offsets * np.asarray(grid.h)
+    grads = np.array([p1_grads(v) for v in verts])
+    return verts, grads, b_matrix(grads)
+
+
+def tet_points(topo: ElementTopology, grid: Grid, ttype, voxels) -> np.ndarray:
+    """Four-point rule positions (m, 4, 3) of the elements of types `ttype`
+    (m,) in the voxels `voxels` (m, 3)."""
+    verts, _, _ = tet_table(topo, grid)
+    return (SH_BARY @ verts)[ttype] + voxels[:, None, :] * np.asarray(grid.h)
 
 
 def sym_grad_cols(g: np.ndarray) -> np.ndarray:
@@ -429,8 +444,14 @@ class ElementCaches:
     @property
     def ptype(self) -> np.ndarray:
         """(6, N1, N2, N3) int8 phase of every element, -1 on special elements."""
-        special = (self.cut_ttype, self.cut_voxel), (self.mi_ttype, self.mi_voxel)
-        return self._memo(("ptype",), lambda: [_element_phases(self.base_phase, *special)])[0]
+
+        def compute():
+            ptype = np.broadcast_to(self.base_phase, (6,) + self.base_phase.shape).copy()
+            ptype[(self.cut_ttype, *self.cut_voxel.T)] = -1
+            ptype[(self.mi_ttype, *self.mi_voxel.T)] = -1
+            return [ptype]
+
+        return self._memo(("ptype",), compute)[0]
 
     @property
     def cut_a(self) -> np.ndarray:
@@ -476,12 +497,13 @@ class ElementCaches:
 
     def _cut_quadrature(self):
         h = np.asarray(self.grid.h)
+        verts, _, _ = tet_table(self.topo, self.grid)
         qp = np.zeros((self.n_cut, 24, 3))
         qw = np.zeros((self.n_cut, 24))
         for t, code, ch in _cut_chunks(self.cut_ttype, self.cut_levels):
             ratio, bary = _subtet_fractions(self.cut_levels[ch], CUT_TEMPLATES[code])
             lam_q = SH_BARY @ bary  # parent barycentric coordinates of the points
-            pos = np.einsum("msqb,bv->msqv", lam_q, tet_vertices(self.topo, self.grid, t))
+            pos = np.einsum("msqb,bv->msqv", lam_q, verts[t])
             pos = pos + self.cut_voxel[ch, None, None, :] * h
             n_q = 4 * ratio.shape[1]
             qp[ch, :n_q] = pos.reshape(len(ch), -1, 3)
@@ -489,12 +511,7 @@ class ElementCaches:
         return qp, qw
 
     def _mi_quadrature(self):
-        h = np.asarray(self.grid.h)
-        qp = np.empty((self.n_mi, 4, 3))
-        for t in range(6):
-            sel = self.mi_ttype == t
-            verts = tet_vertices(self.topo, self.grid, t)
-            qp[sel] = SH_BARY @ verts + self.mi_voxel[sel, None, :] * h
+        qp = tet_points(self.topo, self.grid, self.mi_ttype, self.mi_voxel)
         return qp, np.full((self.n_mi, 4), self.tet_volume / 4.0)
 
     def cut_slot(self, ttype, voxels):
@@ -523,13 +540,11 @@ class ElementCaches:
         return self._memo((f"{kind}_slot_map",), compute)[0]
 
 
-def _element_phases(base, *special):
-    """(6, N1, N2, N3) int8 phase of every element: the base phase of its
-    voxel, and -1 on the special elements given as (ttype, voxel) pairs."""
-    ptype = np.broadcast_to(base, (6,) + base.shape).copy()
-    for ttype, voxel in special:
-        ptype[ttype, voxel[:, 0], voxel[:, 1], voxel[:, 2]] = -1
-    return ptype
+def _elements(mask):
+    """Tet types (m,) int8 and voxels (m, 3) of the elements set in `mask`
+    (6, N1, N2, N3), in canonical (type, voxel) order."""
+    ttype, *voxel = np.nonzero(mask)
+    return ttype.astype(np.int8), np.stack(voxel, axis=1)
 
 
 def _subtet_ratio(bary):
@@ -821,17 +836,7 @@ def build_caches(
     n_phase = len(stiffness)
     nshape = tuple(grid.n)
     vol_tet = float(np.prod(grid.h)) / 6.0
-    h = np.asarray(grid.h)
-
-    grads = np.empty((6, 4, 3))
-    b_mats = np.empty((6, 6, 12))
-    for t in range(6):
-        grads[t] = p1_grads(tet_vertices(topo, grid, t))
-        b_mats[t] = b_matrix(grads[t])
-
-    nodal = np.asarray(nodal)
-    if nodal.ndim == 3:
-        nodal = nodal[None]
+    _, grads, b_mats = tet_table(topo, grid)
 
     # base phase per voxel from the nodal level-set signs at its (0,0,0)
     # corner, shared by all six tets: the discrete geometry is then
@@ -842,20 +847,17 @@ def build_caches(
     # order; they leave the regular pass, and so does every voxel that
     # holds one: its plain tets join the special operator
     region_map = layout.cut_region
-    tt, vi, vj, vk = np.nonzero(region_map >= 0)
-    cut_ttype, cut_voxel = tt.astype(np.int8), np.stack([vi, vj, vk], axis=1)
-    cut_region = region_map[tt, vi, vj, vk]
-    tt, vi, vj, vk = np.nonzero(region_map == -2)
-    mi_ttype, mi_voxel = tt.astype(np.int8), np.stack([vi, vj, vk], axis=1)
+    cut_ttype, cut_voxel = _elements(region_map >= 0)
+    cut_region = region_map[(cut_ttype, *cut_voxel.T)]
+    mi_ttype, mi_voxel = _elements(region_map == -2)
     n_cut = len(cut_ttype)
     n_mi = len(mi_ttype)
 
-    ptype = _element_phases(base, (cut_ttype, cut_voxel), (mi_ttype, mi_voxel))
-    voxel_phase = np.where((ptype < 0).any(axis=0), np.int8(-1), base)
-    tt, vi, vj, vk = np.nonzero((ptype >= 0) & (voxel_phase < 0))
-    plain_ttype, plain_phase = tt, ptype[tt, vi, vj, vk]
-    del ptype
-    plain_nodes = corner_nodes(np.stack([vi, vj, vk], axis=1), topo.offsets[tt], nshape)
+    special_voxel = (region_map != -1).any(axis=0)
+    voxel_phase = np.where(special_voxel, np.int8(-1), base)
+    plain_ttype, plain_voxel = _elements((region_map == -1) & special_voxel)
+    plain_phase = base[tuple(plain_voxel.T)]
+    plain_nodes = corner_nodes(plain_voxel, topo.offsets[plain_ttype], nshape)
     mi_nodes = corner_nodes(mi_voxel, topo.offsets[mi_ttype], nshape)
 
     cut_nodes = corner_nodes(cut_voxel, topo.offsets[cut_ttype], nshape)
@@ -872,18 +874,13 @@ def build_caches(
 
     # bind each enriched node to the single interface cutting its support;
     # nodes claimed by two interfaces are dropped (scale stays zero)
-    node_region = np.full(layout.n_x, -1, dtype=np.int16)
-    conflict = np.zeros(layout.n_x, dtype=bool)
-    for r in np.unique(cut_region):
-        slots = np.unique(cut_enr[cut_region == r])
-        taken = node_region[slots]
-        conflict[slots[(taken >= 0) & (taken != r)]] = True
-        node_region[slots] = r
+    claims = np.unique(cut_enr * len(nodal) + cut_region[:, None])
+    conflict = np.bincount(claims // len(nodal), minlength=layout.n_x) > 1
 
-    special = _SpecialSum(
-        [np.concatenate([cut_nodes, layout.enr_ids(cut_enr)], axis=1), mi_nodes, plain_nodes],
-        layout.n_ids,
-    )
+    # two kinds of special element: cut (8 ids) and fallback or plain (4)
+    cut_ids = np.concatenate([cut_nodes, layout.enr_ids(cut_enr)], axis=1)
+    special = _SpecialSum([cut_ids, np.concatenate([mi_nodes, plain_nodes])], layout.n_ids)
+    del cut_ids, mi_nodes, plain_nodes
     cv_sum = np.zeros((6, 6))
 
     # ---- cut elements: the unscaled matrices and the internal scaling
@@ -899,33 +896,34 @@ def build_caches(
     alive = d0 >= SCALE_DROP_THRESHOLD
     scale[alive] = 1.0 / np.sqrt(d0[alive])
     scale[conflict] = 0.0
-    n_dropped = int((~alive).sum() + (alive & conflict[:, None]).sum())
+    n_dropped = int(np.count_nonzero(scale == 0.0))
 
     # ---- fallback elements: the stiffness averaged over their 4 points
-    mi_a = np.empty((n_mi, 12, 12))
-    mi_bfac = np.empty((n_mi, 12, 6))
-    for t in range(6):
-        sel = np.nonzero(mi_ttype == t)[0]
-        if not len(sel):
-            continue
-        qpos = SH_BARY @ tet_vertices(topo, grid, t) + mi_voxel[sel, None, :] * h
-        ph = assembly.phase_at(qpos.reshape(-1, 3), grid.lengths).reshape(-1, 4)
-        cbar = stiffness[ph].mean(axis=1)
-        mi_a[sel] = vol_tet * np.einsum("ci,mcd,dj->mij", b_mats[t], cbar, b_mats[t])
-        mi_bfac[sel] = vol_tet * np.einsum("ci,mcd->mid", b_mats[t], cbar)
-        cv_sum += vol_tet * cbar.sum(axis=0)
-    special.add(1, slice(None), mi_a, mi_bfac)
+    qpos = tet_points(topo, grid, mi_ttype, mi_voxel)
+    ph = assembly.phase_at(qpos.reshape(-1, 3), grid.lengths).reshape(-1, 4)
+    cbar = stiffness[ph].mean(axis=1)
+    b = b_mats[mi_ttype]
+    mi_a = vol_tet * np.einsum("mci,mcd,mdj->mij", b, cbar, b)
+    mi_bfac = vol_tet * np.einsum("mci,mcd->mid", b, cbar)
+    special.add(1, slice(0, n_mi), mi_a, mi_bfac)
+    # one partial sum per tet type, in type order: total_cv's last bits follow it
+    by_type = np.zeros((6, 6, 6))
+    np.add.at(by_type, mi_ttype, cbar)
+    for part in by_type:
+        cv_sum += vol_tet * part
 
     # plain element matrices V B^T C B and load maps V B^T C per (tet, phase),
     # summed over the six tets of a voxel into its 24-dof stencil K_p and
     # stress map S_p (slot 3 * corner + component)
     plain_a = vol_tet * np.einsum("tci,pcd,tdj->tpij", b_mats, stiffness, b_mats)
     plain_bfac = vol_tet * np.einsum("tci,pcd->tpid", b_mats, stiffness)
-    # plain tets in chunks, so that their gathered matrices stay small
+    # plain tets in chunks after the fallback ones, so that their gathered
+    # matrices stay small
     for lo in range(0, len(plain_ttype), 8 * _CHUNK):
         ch = slice(lo, lo + 8 * _CHUNK)
         t_ch, p_ch = plain_ttype[ch], plain_phase[ch]
-        special.add(2, ch, plain_a[t_ch, p_ch], plain_bfac[t_ch, p_ch])
+        sel = slice(n_mi + lo, n_mi + lo + 8 * _CHUNK)
+        special.add(1, sel, plain_a[t_ch, p_ch], plain_bfac[t_ch, p_ch])
     n_plain = np.bincount(plain_phase, minlength=n_phase)
     cv_sum += vol_tet * np.einsum("p,pcd->cd", n_plain, stiffness)
 
@@ -1040,31 +1038,23 @@ def evaluate_strain(
     eps[:] = np.asarray(eps_bar, dtype=float)
 
     for t in range(6):
-        verts = tet_vertices(topo, grid, t)
-        for enriched in (False, True):
-            sel = np.nonzero((ttype == t) & ((cut_slot >= 0) == enriched))[0]
-            if not len(sel):
-                continue
-            nodes = corner_nodes(vox[sel], topo.offsets[t], nshape)
-            ue = u_flat[nodes].reshape(-1, 12)
-            eps[sel] += ue @ caches.b_mats[t].T
-            if not enriched:
-                continue
-            s = cut_slot[sel]
-            xloc = (xi[sel] * h) - verts[0]
-            lam = np.empty((len(sel), 4))
-            # grads[t][1:] is the inverse of the tet's edge matrix
-            lam[:, 1:] = xloc @ caches.grads[t][1:].T
-            lam[:, 0] = 1.0 - lam[:, 1:].sum(axis=1)
-            levels = caches.cut_levels[s]
-            side = np.where(np.einsum("mb,mb->m", lam, levels) >= 0.0, 1.0, -1.0)
-            coef = np.abs(levels) - side[:, None] * levels
-            rho = np.einsum("mb,mb->m", lam, coef)
-            grho = coef @ caches.grads[t]
-            gx = rho[:, None, None] * caches.grads[t][None] + (
-                lam[..., None] * grho[:, None, :]
-            )
-            bx = b_matrix(gx) * caches.cut_scale[s].reshape(-1, 1, 12)
-            ux = np.asarray(u_enr)[caches.cut_enr[s]].reshape(-1, 12)
-            eps[sel] += np.einsum("mci,mi->mc", bx, ux)
+        sel = np.nonzero(ttype == t)[0]
+        nodes = corner_nodes(vox[sel], topo.offsets[t], nshape)
+        eps[sel] += u_flat[nodes].reshape(-1, 12) @ caches.b_mats[t].T
+        sel = sel[cut_slot[sel] >= 0]
+        s = cut_slot[sel]
+        # vertex 0 of every tet is the voxel origin, and grads[t][1:] is the
+        # inverse of the tet's edge matrix
+        lam = np.empty((len(sel), 4))
+        lam[:, 1:] = (xi[sel] * h) @ caches.grads[t][1:].T
+        lam[:, 0] = 1.0 - lam[:, 1:].sum(axis=1)
+        levels = caches.cut_levels[s]
+        side = np.where(np.einsum("mb,mb->m", lam, levels) >= 0.0, 1.0, -1.0)
+        coef = np.abs(levels) - side[:, None] * levels
+        rho = np.einsum("mb,mb->m", lam, coef)
+        grho = coef @ caches.grads[t]
+        gx = rho[:, None, None] * caches.grads[t][None] + lam[..., None] * grho[:, None, :]
+        bx = b_matrix(gx) * caches.cut_scale[s].reshape(-1, 1, 12)
+        ux = np.asarray(u_enr)[caches.cut_enr[s]].reshape(-1, 12)
+        eps[sel] += np.einsum("mci,mi->mc", bx, ux)
     return eps

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .element import b_matrix, p1_grads
-from .mesh import ElementTopology, Grid, tet_vertices
+from .element import tet_table
+from .mesh import ElementTopology, Grid
 
 _FFT_WORKERS = 1
 
@@ -52,11 +52,9 @@ def unit_stencil(grid: Grid, topo: ElementTopology) -> dict:
     """
     vol = float(np.prod(grid.h)) / 6.0
     stencil = {}
-    for t in range(6):
-        verts = tet_vertices(topo, grid, t)
-        b = b_matrix(p1_grads(verts))
+    _, _, b_mats = tet_table(topo, grid)
+    for b, offs in zip(b_mats, topo.offsets):
         a_ref = vol * b.T @ b  # Mandel-identity coefficient
-        offs = topo.offsets[t]
         for l in range(4):
             for lp in range(4):
                 key = tuple(offs[lp] - offs[l])

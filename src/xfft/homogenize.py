@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element import SH_BARY, evaluate_strain
-from .mesh import Grid, tet_vertices
+from .element import evaluate_strain, tet_points
+from .mesh import Grid
 from .microstructure import PhaseAssembly, Plane, Region, Sphere
 from .solver import SolverConfig, System, build_system, run_scheme
 from .voigt import MaterialIso, iso_stiffness
@@ -159,15 +159,9 @@ def quadrature_set(system: System):
     on first access unless the build kept it (`store_quadrature`).
     """
     c = system.caches
-    grid, topo = system.grid, system.topo
-    h = np.asarray(grid.h)
-    points, weights = [], []
-    vol4 = c.tet_volume / 4.0
-    for t in range(6):
-        vox = np.stack(np.nonzero(c.ptype[t] >= 0), axis=1)
-        qp = SH_BARY @ tet_vertices(topo, grid, t) + (vox[:, None, :] * h)
-        points.append(qp.reshape(-1, 3))
-        weights.append(np.full(4 * len(vox), vol4))
+    ttype, *vox = np.nonzero(c.ptype >= 0)
+    qp = tet_points(system.topo, system.grid, ttype, np.stack(vox, axis=1))
+    points, weights = [qp.reshape(-1, 3)], [np.full(4 * len(ttype), c.tet_volume / 4.0)]
     if c.n_cut:
         live = c.cut_qw.ravel() > 0
         points.append(c.cut_qp.reshape(-1, 3)[live])

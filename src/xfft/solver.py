@@ -103,8 +103,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in ("basic", "bb", "lcg", "ncg"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.maxit < 1:
             raise ValueError("maxit must be at least 1")
 

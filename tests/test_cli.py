@@ -112,6 +112,43 @@ def test_cli_rejects_invalid_outputs_solver_and_threads(
     assert not (out / "displacement.f64").exists()
 
 
+@pytest.mark.parametrize(
+    "path, value, key",
+    [
+        (("geometry", 0, "center"), [float("nan"), 8, 8], "geometry[0].center"),
+        (("solver", "tol"), float("inf"), "solver.tol"),
+        (("loading",), [float("nan"), 1, 1, 0, 0, 0], "loading"),
+        (("grid", "lengths"), [float("inf"), 16, 16], "grid.lengths"),
+        (("phases", 0, "young"), float("nan"), "phases[0].young"),
+        (("phases", 0, "young"), float("inf"), "phases[0].young"),
+        (("phases", 0, "young"), "1.5", "phases[0].young"),
+        (("phases", 0, "young"), True, "phases[0].young"),
+        (("geometry", 0, "radius"), "3.0", "geometry[0].radius"),
+        (("loading",), [True, 1, 1, 0, 0, 0], "loading"),
+    ],
+    ids=[
+        "center-nan", "tol-inf", "loading-nan", "lengths-inf", "young-nan", "young-inf",
+        "young-string", "young-bool", "radius-string", "loading-bool",
+    ],
+)
+def test_cli_rejects_numbers_that_are_not_finite_json_numbers(tmp_path, capsys, path, value, key):
+    # json.load reads NaN and Infinity; neither they, nor strings or
+    # booleans, may stand for a number of the config
+    sphere = {"type": "sphere", "center": [8, 8, 8], "radius": 3.0, "inside": "m", "outside": "m"}
+    cfg = minimal_config(geometry=[sphere])
+    *parents, last = path
+    target = cfg
+    for k in parents:
+        target = target[k]
+    target[last] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(p), "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_geometry_outside_model_rejected(tmp_path):
     sphere = {"type": "sphere", "center": [8, 8, 8], "radius": -2.0, "inside": "m", "outside": "m"}
     with pytest.raises(ConfigError, match=r"geometry\[0\]: sphere radius"):
@@ -236,6 +273,25 @@ def test_cli_sweep_requires_ns_and_writes_study(tmp_path):
     rows = (tmp_path / "study.csv").read_text().splitlines()
     assert rows[0].startswith("n,h,bulk_response")
     assert len(rows) == 3  # header + 2 resolutions, no slope for < 3
+
+
+def test_cli_sweep_names_coinciding_responses(tmp_path, capsys):
+    # a one-phase cell answers every resolution alike up to round-off:
+    # three resolutions, but not three distinct responses to fit a slope to
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(minimal_config(outputs={"study_ns": [4, 6, 8]})))
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "distinct responses, no slope fitted" in out
+    assert "fewer than 3 resolutions" not in out
+    assert not (tmp_path / "study.csv").read_text().count("slope")
+
+
+@pytest.mark.parametrize("tol", ["0", "inf"])
+def test_cli_validate_rejects_zero_and_infinite_tol(capsys, tol):
+    assert main(["validate", "homogeneous", "--tol", tol]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr()
+    assert "tol must be positive and finite" in err.err and "PASS" not in err.out
 
 
 def test_cli_validate_homogeneous_and_laminate():

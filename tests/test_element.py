@@ -19,6 +19,8 @@ from xfft.element import (
     p1_grads,
     shunn_ham_4,
     sym_grad_cols,
+    tet_points,
+    tet_table,
 )
 from xfft.voigt import MaterialIso, iso_stiffness, mandel_to_tensor
 
@@ -554,3 +556,25 @@ def test_nbytes_counts_slot_maps():
     m = c.slot_map("cut")
     assert m.nbytes > 0 and c.nbytes == before + m.nbytes
     assert c.slot_map("cut") is m  # kept, not recomputed
+
+
+def test_tet_table_and_points_match_per_tet_kernels():
+    # the six-row tables against the single-tet kernels of each tet type,
+    # and the four-point rule positions shifted into arbitrary voxels
+    from xfft.mesh import Grid, build_topology, tet_vertices
+
+    grid = Grid((4, 5, 6), (2.0, 3.0, 4.5))
+    topo = build_topology()
+    verts, grads, b_mats = tet_table(topo, grid)
+    rng = np.random.default_rng(25)
+    ttype = np.repeat(np.arange(6, dtype=np.int8), 3)[rng.permutation(18)]
+    voxels = rng.integers(0, grid.n, size=(18, 3))
+    points = tet_points(topo, grid, ttype, voxels)
+    for t in range(6):
+        v = tet_vertices(topo, grid, t)
+        assert np.array_equal(verts[t], v)
+        assert np.array_equal(grads[t], p1_grads(v))
+        assert np.array_equal(b_mats[t], b_matrix(p1_grads(v)))
+        sel = ttype == t
+        want = shunn_ham_4(v)[0] + voxels[sel, None, :] * np.asarray(grid.h)
+        assert np.array_equal(points[sel], want)
