@@ -36,14 +36,6 @@ def fft_workers() -> int:
     return _FFT_WORKERS
 
 
-def rfftn(a, axes=(0, 1, 2)):
-    return scipy.fft.rfftn(a, axes=axes, workers=_FFT_WORKERS)
-
-
-def irfftn(a, s, axes=(0, 1, 2)):
-    return scipy.fft.irfftn(a, s=s, axes=axes, workers=_FFT_WORKERS)
-
-
 def unit_stencil(grid: Grid, topo: ElementTopology) -> dict:
     """27-neighbor stencil of the unit-coefficient operator.
 
@@ -127,14 +119,19 @@ def apply_preconditioner(symbol: GreenSymbol, f_grid: np.ndarray) -> np.ndarray:
     mean-free by construction.  The enriched block of the preconditioner is
     the identity and is handled by the caller.
     """
-    fhat = rfftn(f_grid, axes=(0, 1, 2))
+    fhat = scipy.fft.rfftn(f_grid, axes=(0, 1, 2), workers=_FFT_WORKERS)
     g = symbol.ghat
+    # sum in place through one plane; the inverse transform holds only zhat
     zhat = np.empty_like(fhat)
+    plane = np.empty_like(fhat[..., 0])
     for i in range(3):
-        zhat[..., i] = (
-            g[..., i, 0] * fhat[..., 0] + g[..., i, 1] * fhat[..., 1] + g[..., i, 2] * fhat[..., 2]
-        )
-    return irfftn(zhat, s=symbol.grid.n, axes=(0, 1, 2))
+        z = np.multiply(g[..., i, 0], fhat[..., 0], out=zhat[..., i])
+        z += np.multiply(g[..., i, 1], fhat[..., 1], out=plane)
+        z += np.multiply(g[..., i, 2], fhat[..., 2], out=plane)
+    del fhat, plane
+    return scipy.fft.irfftn(
+        zhat, s=symbol.grid.n, axes=(0, 1, 2), overwrite_x=True, workers=_FFT_WORKERS
+    )
 
 
 def apply_stencil(grid: Grid, topo: ElementTopology, v_grid: np.ndarray) -> np.ndarray:

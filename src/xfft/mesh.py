@@ -11,6 +11,7 @@ these periodic node ids.
 """
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +27,12 @@ class Grid:
     def __post_init__(self):
         if len(self.n) != 3 or len(self.lengths) != 3:
             raise ValueError("grid needs three axes")
-        if any(int(k) < 2 for k in self.n):
+        if not all(isinstance(k, numbers.Integral) and type(k) is not bool for k in self.n):
+            raise ValueError(f"voxel counts must be integers, got {self.n}")
+        if any(k < 2 for k in self.n):
             raise ValueError(f"need at least 2 voxels per axis, got {self.n}")
-        if any(l <= 0 for l in self.lengths):
-            raise ValueError(f"cell lengths must be positive, got {self.lengths}")
+        if not all(0 < l < np.inf for l in self.lengths):
+            raise ValueError(f"cell lengths must be positive and finite, got {self.lengths}")
         object.__setattr__(self, "n", tuple(int(k) for k in self.n))
         object.__setattr__(self, "lengths", tuple(float(l) for l in self.lengths))
 

@@ -7,13 +7,14 @@ every such voxel, grouped by phase.  The sweep takes its rows in blocks of
 at most `SWEEP_ROWS`, so that its temporaries stay bounded at any grid
 size: each block gathers its corner displacements with one fancy index,
 applies one 24x24 matrix per phase to that phase's rows in the block and
-scatters the corner forces back with one `np.bincount` over the block's
-dof range.  The cut and fallback ("special")
-elements, together with the plain tets of their voxels, were summed at
-build time into one block-sparse operator on the dofs they touch, so
-they add their forces with one sparse product on the flat dof vector.
-The same sweep accumulates the volume-integrated stress, so each solver
-iteration costs one sweep plus one FFT preconditioner application.
+adds the corner forces into one force vector in index order, so the force
+is bitwise the same for any block size (the stress is summed per block).
+The cut and fallback ("special") elements, together with the plain tets
+of their voxels, were summed at build time into one block-sparse operator
+on the dofs they touch, so they add their forces with one sparse product
+on the flat dof vector.  The same sweep accumulates the volume-integrated
+stress, so each solver iteration costs one sweep plus one FFT
+preconditioner application.
 
 Sign convention: the residual is the gradient of the discrete energy,
 r(u) = sum_e L_e^T (A_e u_e + Bfac_e eps_bar), i.e. the internal force of
@@ -34,6 +35,7 @@ k + 1 history rows.  The schemes own only their step arithmetic.
 """
 
 import logging
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -105,6 +107,8 @@ class SolverConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
+        if not isinstance(self.maxit, numbers.Integral) or type(self.maxit) is bool:
+            raise ValueError("maxit must be an integer")
         if self.maxit < 1:
             raise ValueError("maxit must be at least 1")
 
@@ -135,19 +139,14 @@ class System:
         self.symbol = symbol
         self.stiffness = np.asarray(stiffness, dtype=float)
         self.c_minus, self.c_plus = stiffness_bounds(list(self.stiffness))
-        # the sweep's row blocks: rows, dof range [d0, d1) of their corner
-        # dofs, and each phase's rows within the block
+        # the sweep's row blocks: their rows and each phase's rows within them
         idx, bounds = caches.voxel_dofs, caches.voxel_bounds
         self._sweep_blocks = []
         for b0 in range(0, max(len(idx), 1), SWEEP_ROWS):
             b1 = min(b0 + SWEEP_ROWS, len(idx))
-            if b1 - b0 == len(idx):
-                d0, d1 = 0, layout.n_dofs
-            else:
-                d0, d1 = int(idx[b0:b1].min()), int(idx[b0:b1].max()) + 1
             local = np.clip(bounds, b0, b1) - b0
             phase_rows = [slice(lo, hi) for lo, hi in zip(local[:-1], local[1:])]
-            self._sweep_blocks.append((slice(b0, b1), d0, d1, phase_rows))
+            self._sweep_blocks.append((slice(b0, b1), phase_rows))
         # summing a phase's rows as ones @ rows is one BLAS call
         self._ones = np.ones(min(len(idx), SWEEP_ROWS))
 
@@ -179,17 +178,18 @@ class System:
         The regular voxels' rows of `voxel_dofs` are taken in blocks of at
         most `SWEEP_ROWS` rows.  Each block gathers its corner dofs, applies
         each phase's 24x24 stencil to that phase's rows in the block, adds
-        their stress and scatters its corner forces with one `np.bincount`
-        over its dof range [d0, d1).  The special operator follows.
+        their stress (summed per block) and adds its corner forces into one
+        vector, with `np.bincount` for the first block and `np.add.at` after
+        it: both add in index order, so the force is bitwise the same for
+        any block size.  The special operator follows.
         Returns (force residual, volume-integrated stress (6,)).
         """
         c = self.caches
         eps_bar = np.asarray(eps_bar, dtype=float)
         loaded = eps_bar.any()
         sig_total = c.total_cv @ eps_bar
-        # one block scatters straight into a new vector; several add theirs
-        force = np.zeros(u.data.size) if len(self._sweep_blocks) > 1 else None
-        for rows, d0, d1, phase_rows in self._sweep_blocks:
+        force = None
+        for rows, phase_rows in self._sweep_blocks:
             idx = c.voxel_dofs[rows]
             ue = u.data[idx]
             fe = np.empty_like(ue)
@@ -198,11 +198,10 @@ class System:
                 np.matmul(ue[prow], c.voxel_k[p].T, out=fe[prow])
                 if loaded:
                     fe[prow] += eps_bar @ c.voxel_s[p]
-            f_block = np.bincount((idx - d0 if d0 else idx).ravel(), fe.ravel(), minlength=d1 - d0)
             if force is None:
-                force = f_block
+                force = np.bincount(idx.ravel(), fe.ravel(), minlength=u.data.size)
             else:
-                force[d0:d1] += f_block
+                np.add.at(force, idx.ravel(), fe.ravel())
 
         us = u.data[c.special_dofs]
         sig_total += us @ c.special_load
@@ -226,8 +225,10 @@ class System:
 
     def precondition(self, f: DofVector) -> DofVector:
         """Block preconditioner: Green inverse on the grid, identity on enriched."""
+        # the grid part first, so that its temporaries are gone before z
+        z_grid = greenop.apply_preconditioner(self.symbol, f.grid)
         z = f.like(np.empty_like(f.data))
-        z.grid[:] = greenop.apply_preconditioner(self.symbol, f.grid)
+        z.grid[:] = z_grid
         z.enr[:] = f.enr
         return z
 

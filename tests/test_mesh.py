@@ -25,6 +25,24 @@ def test_grid_validation():
     assert g.n_nodes == 4 * 8 * 16
 
 
+@pytest.mark.parametrize("n", [(8.7, 8, 8), (8, 8.0, 8), (True, 8, 8), (8, 8, np.float64(8))])
+def test_grid_rejects_voxel_counts_that_are_not_integers(n):
+    # 8.7 used to build 8 voxels silently
+    with pytest.raises(ValueError, match="integers"):
+        Grid(n, LENGTHS)
+
+
+@pytest.mark.parametrize("length", [np.inf, np.nan, -np.inf])
+def test_grid_rejects_lengths_that_are_not_finite(length):
+    # an infinite length used to build and run to a NaN stress
+    with pytest.raises(ValueError, match="finite"):
+        Grid((4, 4, 4), (16.0, length, 16.0))
+
+
+def test_grid_accepts_numpy_integer_counts():
+    assert Grid((np.int64(4), np.int32(5), 6), LENGTHS).n == (4, 5, 6)
+
+
 def test_six_tets_volume_and_orientation():
     topo = build_topology()
     grid = Grid((2, 2, 2), (2.0, 2.0, 2.0))  # unit voxels

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from helpers import dense_system, flatten_dofs, solve_dense, unflatten_dofs
@@ -325,6 +327,13 @@ def test_scheme_dispatch_and_config_validation():
         assert res.converged and res.scheme == scheme
 
 
+@pytest.mark.parametrize("maxit", [2.5, 3.0, True, "3"])
+def test_config_rejects_maxit_that_is_not_an_integer(maxit):
+    # maxit=2.5 used to run 3 iterations
+    with pytest.raises(ValueError, match="integer"):
+        SolverConfig("lcg", 1e-7, maxit)
+
+
 @pytest.mark.parametrize("scheme", ["lcg", "basic", "bb", "ncg"])
 def test_nonconverged_flagged(scheme):
     system, _ = hashin_system(8, store_quadrature=False)
@@ -527,6 +536,53 @@ def test_sweep_in_row_blocks_matches_one_block(monkeypatch, request, cell):
     for eps in (EPS_HYDRO, np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])):
         one, blk = run_lcg(system, config, eps), run_lcg(blocked, config, eps)
         assert one.converged and blk.iterations == one.iterations
+
+
+def _with_caches(system, caches):
+    return System(
+        system.grid, system.topo, system.layout, caches, system.symbol, system.stiffness
+    )
+
+
+@pytest.mark.parametrize("cell", ["hashin", "two_spheres", "hashin_p1"])
+def test_sweep_residual_bitwise_equal_for_any_block_size(monkeypatch, request, cell):
+    # every block adds its corner forces into one vector in index order, so
+    # the residual is the one-block residual bit for bit, loaded or not
+    if cell == "two_spheres":
+        system = request.getfixturevalue("two_spheres_n8")[0]
+    else:
+        system = hashin_system(8, mode="p1" if cell == "hashin_p1" else "xfem")[0]
+    monkeypatch.setattr(solver, "SWEEP_ROWS", 11)
+    blocked = _with_caches(system, system.caches)
+    assert len(system._sweep_blocks) == 1 and len(blocked._sweep_blocks) > 1
+    rng = np.random.default_rng(17)
+    u = system.zeros()
+    u.data[:] = rng.standard_normal(u.data.shape)
+    for eps in (rng.standard_normal(6), np.zeros(6)):
+        assert np.array_equal(blocked._sweep(u, eps)[0].data, system._sweep(u, eps)[0].data)
+
+
+@pytest.mark.parametrize("seed", [3, 5, 8])
+def test_lcg_history_equal_for_any_block_size_after_ulp_nudges(monkeypatch, two_spheres_n8, seed):
+    # a one-ulp change of the special operator must not make a one-block
+    # and an 11-row-block solve stop at different iterates
+    system = two_spheres_n8[0]
+    k = system.caches.special_k.copy()
+    rng = np.random.default_rng(seed)
+    nudge = rng.random(k.data.shape) < 0.5
+    towards = np.where(rng.random(np.count_nonzero(nudge)) < 0.5, -np.inf, np.inf)
+    k.data[nudge] = np.nextafter(k.data[nudge], towards)
+    caches = copy.copy(system.caches)
+    caches.special_k = k
+    one = _with_caches(system, caches)
+    monkeypatch.setattr(solver, "SWEEP_ROWS", 11)
+    blocked = _with_caches(system, caches)
+    assert len(one._sweep_blocks) == 1 and len(blocked._sweep_blocks) > 1
+    config = SolverConfig("lcg", 1e-8, 500)
+    for eps in (EPS_HYDRO, np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])):
+        a, b = run_lcg(one, config, eps), run_lcg(blocked, config, eps)
+        assert a.converged and a.iterations == b.iterations
+        assert [row[:2] for row in a.history] == [row[:2] for row in b.history]
 
 
 def test_results_bitwise_equal_for_one_and_two_openblas_threads_n16():
