@@ -297,7 +297,7 @@ def read_field(path_base):
     return flat.reshape(shape[2], shape[1], shape[0], shape[3]).transpose(2, 1, 0, 3)
 
 
-def write_vtk(path, array, grid, name="displacement"):
+def write_vtk(path, array, grid):
     """Legacy-ASCII structured-points export for visualization."""
     n1, n2, n3 = array.shape[:3]
     with open(path, "w") as fh:
@@ -307,7 +307,7 @@ def write_vtk(path, array, grid, name="displacement"):
         fh.write("ORIGIN 0 0 0\n")
         fh.write(f"SPACING {grid.h[0]:.17g} {grid.h[1]:.17g} {grid.h[2]:.17g}\n")
         fh.write(f"POINT_DATA {n1 * n2 * n3}\n")
-        fh.write(f"VECTORS {name} double\n")
+        fh.write("VECTORS displacement double\n")
         flat = array.transpose(2, 1, 0, 3).reshape(-1, 3)
         for v in flat:
             fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
@@ -457,11 +457,13 @@ def cmd_sweep(cfg: RunConfig, out_dir):
                 + ",".join(f"{v:.17g}" for v in sig)
                 + "\n"
             )
-        distinct = len({r[1] for r in rows})
-        errs = [abs(r[1] - rows[-1][1]) for r in rows[:-1]]
+        k_finest = rows[-1][1]
+        errs = [abs(r[1] - k_finest) for r in rows[:-1]]
+        # within the solver tolerance of the finest, a response differs by round-off
+        distinct = 1 + sum(e > cfg.solver.tol * abs(k_finest) for e in errs)
         if len(rows) < 3:
             print("warning: fewer than 3 resolutions, no slope fitted")
-        elif distinct < len(rows) or not all(e > 0 for e in errs):
+        elif distinct < len(rows):
             print(
                 f"warning: {len(rows)} resolutions give {distinct} distinct responses, "
                 "no slope fitted"

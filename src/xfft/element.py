@@ -34,7 +34,8 @@ sum.  Tests and diagnostics that want a cut element's matrices or the
 quadrature record get them recomputed on first access.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -349,7 +350,7 @@ class ElementCaches:
     `base_phase` of their voxel.  Cut elements (24 dofs) and
     multi-interface fallback elements (12 dofs) are the "special" elements.
     `ptype`, the (6, N1, N2, N3) phase of every element with -1 on the
-    special ones, is derived on first access and kept, like the fields
+    special ones, is derived on first access and kept, like the arrays
     recomputed below.
 
     A voxel whose six tets are all regular has one phase, `voxel_phase`,
@@ -379,9 +380,9 @@ class ElementCaches:
     scaled, as summed into `special_k`) are recomputed from `cut_levels`,
     `cut_phases` and `cut_scale` on first access, and so are the
     quadrature records `cut_qp`/`cut_qw` (zero-padded to 24 points) and
-    `mi_qp`/`mi_qw`.  Each is kept once computed, and `nbytes` counts it
-    from then on.  The fallback elements are few and keep `mi_a` and
-    `mi_bfac`.
+    `mi_qp`/`mi_qw`, both arrays of a pair on first access to either.
+    They are kept as instance attributes, which `nbytes` counts.  The
+    fallback elements are few and keep `mi_a` and `mi_bfac`.
     """
 
     grid: Grid
@@ -418,14 +419,13 @@ class ElementCaches:
     d0: np.ndarray  # (n_x, 3)
     scale: np.ndarray  # (n_x, 3); zero marks a dropped enriched dof
     n_dropped_dofs: int
-    _derived: dict = field(default_factory=dict, repr=False)
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the cached arrays, the special operator's included."""
         k = self.special_k
         arrays = [v for v in vars(self).values() if isinstance(v, np.ndarray)]
-        arrays += [k.data, k.indices, k.indptr, *self._derived.values()]
+        arrays += [k.data, k.indices, k.indptr]
         return sum(a.nbytes for a in arrays)
 
     @property
@@ -436,52 +436,49 @@ class ElementCaches:
     def n_mi(self):
         return len(self.mi_ttype)
 
-    def _memo(self, names, compute):
-        if names[0] not in self._derived:
-            self._derived.update(zip(names, compute()))
-        return [self._derived[n] for n in names]
-
-    @property
+    @cached_property
     def ptype(self) -> np.ndarray:
         """(6, N1, N2, N3) int8 phase of every element, -1 on special elements."""
+        ptype = np.broadcast_to(self.base_phase, (6,) + self.base_phase.shape).copy()
+        ptype[(self.cut_ttype, *self.cut_voxel.T)] = -1
+        ptype[(self.mi_ttype, *self.mi_voxel.T)] = -1
+        return ptype
 
-        def compute():
-            ptype = np.broadcast_to(self.base_phase, (6,) + self.base_phase.shape).copy()
-            ptype[(self.cut_ttype, *self.cut_voxel.T)] = -1
-            ptype[(self.mi_ttype, *self.mi_voxel.T)] = -1
-            return [ptype]
-
-        return self._memo(("ptype",), compute)[0]
-
-    @property
+    @cached_property
     def cut_a(self) -> np.ndarray:
         """(n_cut, 24, 24) internally scaled cut element stiffnesses."""
-        return self._memo(("cut_a", "cut_bfac"), self._scaled_cut_matrices)[0]
+        self.cut_a, self.cut_bfac = self._scaled_cut_matrices()
+        return self.cut_a
 
-    @property
+    @cached_property
     def cut_bfac(self) -> np.ndarray:
         """(n_cut, 24, 6) internally scaled cut element load factors."""
-        return self._memo(("cut_a", "cut_bfac"), self._scaled_cut_matrices)[1]
+        self.cut_a, self.cut_bfac = self._scaled_cut_matrices()
+        return self.cut_bfac
 
-    @property
+    @cached_property
     def cut_qp(self) -> np.ndarray:
         """(n_cut, 24, 3) quadrature points of the cut elements."""
-        return self._memo(("cut_qp", "cut_qw"), self._cut_quadrature)[0]
+        self.cut_qp, self.cut_qw = self._cut_quadrature()
+        return self.cut_qp
 
-    @property
+    @cached_property
     def cut_qw(self) -> np.ndarray:
         """(n_cut, 24) quadrature weights, zero on padding points."""
-        return self._memo(("cut_qp", "cut_qw"), self._cut_quadrature)[1]
+        self.cut_qp, self.cut_qw = self._cut_quadrature()
+        return self.cut_qw
 
-    @property
+    @cached_property
     def mi_qp(self) -> np.ndarray:
         """(n_mi, 4, 3) quadrature points of the fallback elements."""
-        return self._memo(("mi_qp", "mi_qw"), self._mi_quadrature)[0]
+        self.mi_qw = np.full((self.n_mi, 4), self.tet_volume / 4.0)
+        return tet_points(self.topo, self.grid, self.mi_ttype, self.mi_voxel)
 
-    @property
+    @cached_property
     def mi_qw(self) -> np.ndarray:
         """(n_mi, 4) quadrature weights of the fallback elements."""
-        return self._memo(("mi_qp", "mi_qw"), self._mi_quadrature)[1]
+        self.mi_qp = tet_points(self.topo, self.grid, self.mi_ttype, self.mi_voxel)
+        return np.full((self.n_mi, 4), self.tet_volume / 4.0)
 
     def _scaled_cut_matrices(self):
         a = np.empty((self.n_cut, 24, 24))
@@ -510,10 +507,6 @@ class ElementCaches:
             qw[ch, :n_q] = np.repeat(self.tet_volume * ratio / 4.0, 4, axis=1)
         return qp, qw
 
-    def _mi_quadrature(self):
-        qp = tet_points(self.topo, self.grid, self.mi_ttype, self.mi_voxel)
-        return qp, np.full((self.n_mi, 4), self.tet_volume / 4.0)
-
     def cut_slot(self, ttype, voxels):
         """Index into the cut_* arrays of the elements (ttype (m,), voxels
         (m, 3)), -1 where not cut, by a binary search: the cut elements are
@@ -524,20 +517,17 @@ class ElementCaches:
         return np.where(np.append(keys, -1)[pos] == key, pos, -1)
 
     def slot_map(self, kind):
-        """(6, N1, N2, N3) element -> index into cut_*/mi_* arrays (-1 none).
+        """(6, N1, N2, N3) int32 element -> index into cut_*/mi_* arrays (-1 none).
 
-        Kept once computed, and counted by `nbytes` from then on.
+        Kept once computed as the attribute `{kind}_slot_map`, which `nbytes` counts.
         """
-        tt, vox = (
-            (self.cut_ttype, self.cut_voxel) if kind == "cut" else (self.mi_ttype, self.mi_voxel)
-        )
-
-        def compute():
-            m = np.full((6,) + tuple(self.grid.n), -1, dtype=np.int64)
+        name = f"{kind}_slot_map"
+        if name not in vars(self):
+            tt, vox = getattr(self, f"{kind}_ttype"), getattr(self, f"{kind}_voxel")
+            m = np.full((6,) + tuple(self.grid.n), -1, dtype=np.int32)
             m[tt, vox[:, 0], vox[:, 1], vox[:, 2]] = np.arange(len(tt))
-            return [m]
-
-        return self._memo((f"{kind}_slot_map",), compute)[0]
+            setattr(self, name, m)
+        return vars(self)[name]
 
 
 def _elements(mask):
@@ -612,9 +602,8 @@ def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet):
     diagonal of M_+ + M_-.  The 12 standard dofs share the constant strain
     matrix B = `b_mat`, so with cv = sum_s |side s| C_s the load factor is
     Bfac = [B^T cv; g^T] and the first 12 columns of A are Bfac B.
-    Returns a (m, 24, 24), bfac (m, 24, 6), cv (m, 6, 6), the scaling
-    integrals (m, 4, 3), and the side moments Lam (m, 2, 4, 4) and
-    Lam1 (m, 2, 4), the + side first.
+    Returns a (m, 24, 24), bfac (m, 24, 6), cv (m, 6, 6) and the scaling
+    integrals (m, 4, 3).
     """
     m = len(levels)
     side_sign = np.array([[1.0], [-1.0]])  # the + side first
@@ -660,7 +649,7 @@ def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet):
     a[:, :, :12] = (bfac.reshape(-1, 6) @ b_mat).reshape(m, 24, 12)
     a[:, :12, 12:] = a[:, 12:, :12].transpose(0, 2, 1)
     a[:, 12:, 12:] = axx.reshape(m, 12, 12)
-    return a, bfac, cv, d0, lam2, lam1
+    return a, bfac, cv, d0
 
 
 _CHUNK = 512
@@ -811,13 +800,7 @@ _KEY_CHUNK = 4096
 
 
 def build_caches(
-    assembly,
-    grid: Grid,
-    topo: ElementTopology,
-    layout: DofLayout,
-    nodal: np.ndarray,
-    stiffness,
-    store_quadrature: bool = False,
+    assembly, topo: ElementTopology, layout: DofLayout, nodal: np.ndarray, stiffness
 ) -> ElementCaches:
     """Assemble the cell's operator: voxel stencils and the special operator.
 
@@ -828,10 +811,8 @@ def build_caches(
     assembled chunk by chunk and each chunk is added to the block sums
     unscaled, before the next one is formed.  The internal scaling is a
     per-dof factor, applied once to the summed operator.
-    `store_quadrature` computes the quadrature record (`cut_qp`, `cut_qw`,
-    `mi_qp`, `mi_qw`) during the build and keeps it; otherwise it is
-    computed on first access.
     """
+    grid = layout.grid
     stiffness = np.asarray(stiffness, dtype=float)
     n_phase = len(stiffness)
     nshape = tuple(grid.n)
@@ -887,7 +868,7 @@ def build_caches(
     # integrals, which need the same enriched gradients, one chunk at a time
     d0 = np.zeros((layout.n_x, 3))
     args = cut_ttype, cut_levels, cut_phases, stiffness
-    for ch, (a, bfac, cv, d0_e, _, _) in _cut_kernel(*args, grads, b_mats, vol_tet):
+    for ch, (a, bfac, cv, d0_e) in _cut_kernel(*args, grads, b_mats, vol_tet):
         special.add(0, ch, a, bfac)
         cv_sum += cv.sum(axis=0)
         np.add.at(d0, cut_enr[ch], d0_e)
@@ -958,7 +939,7 @@ def build_caches(
     n_regular = 6 * np.diff(voxel_bounds)
     total_cv = vol_tet * np.einsum("p,pcd->cd", n_regular, stiffness) + cv_sum
 
-    caches = ElementCaches(
+    return ElementCaches(
         grid=grid,
         topo=topo,
         stiffness=stiffness,
@@ -990,9 +971,6 @@ def build_caches(
         scale=scale,
         n_dropped_dofs=n_dropped,
     )
-    if store_quadrature:
-        caches.cut_qp, caches.mi_qp  # computed now, and kept
-    return caches
 
 
 # ---------------------------------------------------------------------------

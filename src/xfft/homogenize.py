@@ -156,19 +156,14 @@ def quadrature_set(system: System):
 
     Uncut elements contribute their four-point rule on the fly; cut and
     fallback elements use the caches' quadrature record, which is computed
-    on first access unless the build kept it (`store_quadrature`).
+    on first access.
     """
     c = system.caches
     ttype, *vox = np.nonzero(c.ptype >= 0)
     qp = tet_points(system.topo, system.grid, ttype, np.stack(vox, axis=1))
-    points, weights = [qp.reshape(-1, 3)], [np.full(4 * len(ttype), c.tet_volume / 4.0)]
-    if c.n_cut:
-        live = c.cut_qw.ravel() > 0
-        points.append(c.cut_qp.reshape(-1, 3)[live])
-        weights.append(c.cut_qw.ravel()[live])
-    if c.n_mi:
-        points.append(c.mi_qp.reshape(-1, 3))
-        weights.append(c.mi_qw.ravel())
+    live = c.cut_qw.ravel() > 0
+    points = [qp.reshape(-1, 3), c.cut_qp.reshape(-1, 3)[live], c.mi_qp.reshape(-1, 3)]
+    weights = [np.full(4 * len(ttype), c.tet_volume / 4.0), c.cut_qw.ravel()[live], c.mi_qw.ravel()]
     return np.concatenate(points), np.concatenate(weights)
 
 
@@ -243,17 +238,17 @@ class StudyResult:
     slope: float | None
 
 
-def fit_slope(hs, errors, guard: bool = True):
+def fit_slope(hs, errors):
     """Least-squares slope of log(error) vs log(h).
 
-    With `guard`, the coarsest point is excluded when its error is within a
-    factor 5 of the finest point's error (pre-asymptotic data).
+    The coarsest of three or more points is excluded when its error is
+    within a factor 5 of the finest point's error (pre-asymptotic data).
     """
     hs = np.asarray(hs, dtype=float)
     errors = np.asarray(errors, dtype=float)
     order = np.argsort(hs)[::-1]  # coarsest first
     hs, errors = hs[order], errors[order]
-    if guard and len(hs) > 2 and errors[0] < 5.0 * errors[-1]:
+    if len(hs) > 2 and errors[0] < 5.0 * errors[-1]:
         hs, errors = hs[1:], errors[1:]
     if np.any(errors <= 0):
         raise ValueError("errors must be positive for a log-log fit")
@@ -365,9 +360,7 @@ def homogeneous_cell():
     return PhaseAssembly(regions=[], background=0), [MaterialIso(1.5, 0.25)], (16.0,) * 3
 
 
-def hashin_system(n: int, mode: str = "xfem", inclusion_young=None, store_quadrature=False):
+def hashin_system(n: int, mode: str = "xfem", inclusion_young=None):
     assembly, materials, lengths = hashin_cell(inclusion_young)
     grid = Grid(n=(n, n, n), lengths=lengths)
-    return build_system(
-        assembly, grid, materials, mode=mode, store_quadrature=store_quadrature
-    ), materials
+    return build_system(assembly, grid, materials, mode=mode), materials

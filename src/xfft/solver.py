@@ -129,16 +129,15 @@ class SolveResult:
 
 
 class System:
-    """Discretized cell problem: geometry, caches and preconditioner."""
+    """Discretized cell problem: the layout's grid, the caches and the preconditioner."""
 
-    def __init__(self, grid, topo, layout, caches: ElementCaches, symbol, stiffness):
-        self.grid = grid
-        self.topo = topo
+    def __init__(self, layout: DofLayout, caches: ElementCaches, symbol):
+        self.grid = layout.grid
+        self.topo = caches.topo
         self.layout = layout
         self.caches = caches
         self.symbol = symbol
-        self.stiffness = np.asarray(stiffness, dtype=float)
-        self.c_minus, self.c_plus = stiffness_bounds(list(self.stiffness))
+        self.c_minus, self.c_plus = stiffness_bounds(list(caches.stiffness))
         # the sweep's row blocks: their rows and each phase's rows within them
         idx, bounds = caches.voxel_dofs, caches.voxel_bounds
         self._sweep_blocks = []
@@ -263,16 +262,12 @@ def check_phases(assembly, n_materials: int):
             raise ValueError(f"phase {p} has no material ({n_materials} given)")
 
 
-def build_system(
-    assembly, grid: Grid, materials, mode: str = "xfem", store_quadrature: bool = False
-) -> System:
+def build_system(assembly, grid: Grid, materials, mode: str = "xfem") -> System:
     """Discretize a cell: sample geometry, detect enrichment, build caches.
 
     `mode` "p1" disables enrichment entirely: every element is assembled as
     an uncut single-phase element with the base phase of its voxel (from
-    the level-set signs at the voxel's (0,0,0) corner).  `store_quadrature`
-    computes the cut and fallback elements' quadrature record during the
-    build and keeps it (see `build_caches`).
+    the level-set signs at the voxel's (0,0,0) corner).
     """
     if mode not in ("xfem", "p1"):
         raise ValueError(f"unknown discretization {mode!r}")
@@ -288,11 +283,9 @@ def build_system(
     nodal = sample_nodal(assembly, grid)
     # in p1 mode no interface cuts an element
     layout = detect_enrichment(nodal if mode == "xfem" else nodal[:0], topo, grid)
-    caches = build_caches(
-        assembly, grid, topo, layout, nodal, stiffness, store_quadrature=store_quadrature
-    )
+    caches = build_caches(assembly, topo, layout, nodal, stiffness)
     symbol = greenop.build_symbol(grid, topo)
-    return System(grid, topo, layout, caches, symbol, stiffness)
+    return System(layout, caches, symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +362,7 @@ def run_lcg(system: System, config: SolverConfig, eps_bar) -> SolveResult:
     f, sigma, z, res = run.evaluate(u)
     r0 = f.copy()
     d = z.scaled(-1.0)
+    del z
     while True:
         run.energies.append(0.5 * (u.dot(f) + u.dot(r0)))
         if run.stop(res, sigma):
@@ -388,6 +382,7 @@ def run_lcg(system: System, config: SolverConfig, eps_bar) -> SolveResult:
         beta = res_sq_new / res**2
         d.data *= beta
         d.data -= z.data
+        del z
         res = float(np.sqrt(max(res_sq_new, 0.0)))
 
 
@@ -429,7 +424,7 @@ def run_bb(system: System, config: SolverConfig, eps_bar) -> SolveResult:
         z_prev, tau_prev, res_prev = z, tau, res
 
 
-def run_ncg(system: System, config: SolverConfig, eps_bar, line_search: str = "exact"):
+def run_ncg(system: System, config: SolverConfig, eps_bar):
     """Preconditioned Fletcher-Reeves nonlinear conjugate gradients.
 
     Each step minimizes the energy along the search direction d exactly.
@@ -438,15 +433,14 @@ def run_ncg(system: System, config: SolverConfig, eps_bar, line_search: str = "e
     linearity, as in `run_lcg`.  The direction update uses the
     Fletcher-Reeves beta and restarts on loss of descent.  With the exact
     line search the iterates coincide with linear CG in exact arithmetic
-    (Schneider, IJNME 2020).  "exact" is the only line search.
+    (Schneider, IJNME 2020).
     """
-    if line_search != "exact":
-        raise ValueError(f"unknown line search {line_search!r}")
     run = _Run(system, config, eps_bar)
     vol = system.grid.volume
     u = system.zeros()
     f, sigma, z, res = run.evaluate(u)
     d = z.scaled(-1.0)
+    del z
     while not run.stop(res, sigma):
         w, dsig_int = system._sweep(d, ZERO6)
         dw = d.dot(w)
@@ -463,6 +457,7 @@ def run_ncg(system: System, config: SolverConfig, eps_bar, line_search: str = "e
         d.data -= z.data
         if f.dot(d) >= 0.0:
             d = z.scaled(-1.0)
+        del z
         res = res_new
     return run.finish(u, sigma, res)
 

@@ -50,7 +50,7 @@ def report(criterion, ok, detail):
 def xfem_solves():
     out = {}
     for n in (16, 32, 64):
-        system, mats = hashin_system(n, store_quadrature=n <= 32)
+        system, mats = hashin_system(n)
         k_eff, res = bulk_modulus_hydrostatic(
             system, SolverConfig("lcg", TOL, 400)
         )
@@ -60,7 +60,7 @@ def xfem_solves():
 
 @pytest.fixture(scope="module")
 def reference128():
-    system, _ = hashin_system(128, store_quadrature=False)
+    system, _ = hashin_system(128)
     k_eff, res = bulk_modulus_hydrostatic(system, SolverConfig("lcg", TOL, 400))
     return dict(system=system, k=k_eff, res=res)
 
@@ -78,7 +78,7 @@ def test_criterion_2_convergence_slopes(xfem_solves):
     ok_x = abs(slope_x - 2.0) <= 0.4
     p1_errs = []
     for n in (16, 32, 64):
-        system, _ = hashin_system(n, mode="p1", store_quadrature=False)
+        system, _ = hashin_system(n, mode="p1")
         k_eff, _ = bulk_modulus_hydrostatic(system, SolverConfig("lcg", TOL, 300))
         p1_errs.append(rel_error(k_eff, K_REF))
     slope_p1 = fit_slope(hs, p1_errs)
@@ -102,7 +102,7 @@ def test_criterion_4_contrast_trend():
     its = []
     for kappa in kappas:
         system, _ = hashin_system(
-            32, inclusion_young=1.212036 * kappa, store_quadrature=False
+            32, inclusion_young=1.212036 * kappa
         )
         _, res = bulk_modulus_hydrostatic(system, SolverConfig("lcg", TOL, 3000))
         assert res.converged
@@ -224,7 +224,7 @@ def test_criterion_6_property_suite(xfem_solves):
     # preconditioner round trip on mean-free fields
     grid8 = Grid((8, 8, 8), (16.0,) * 3)
     topo = build_topology()
-    sys8, _ = hashin_system(8, store_quadrature=False)
+    sys8, _ = hashin_system(8)
     v = rng.standard_normal((8, 8, 8, 3))
     v -= v.mean(axis=(0, 1, 2))
     z = apply_preconditioner(sys8.symbol, apply_stencil(grid8, topo, v))

@@ -287,6 +287,17 @@ def test_cli_sweep_names_coinciding_responses(tmp_path, capsys):
     assert not (tmp_path / "study.csv").read_text().count("slope")
 
 
+@pytest.mark.parametrize("ns", [[4, 6, 10], [3, 5, 7]])
+def test_cli_sweep_fits_no_slope_to_round_off(tmp_path, capsys, ns):
+    # the one-phase cell's responses differ from the finest by far less than
+    # the solver tolerance: round-off, not discretization error
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(minimal_config(outputs={"study_ns": ns})))
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path)]) == EXIT_OK
+    assert "distinct responses, no slope fitted" in capsys.readouterr().out
+    assert not (tmp_path / "study.csv").read_text().count("slope")
+
+
 @pytest.mark.parametrize("tol", ["0", "inf"])
 def test_cli_validate_rejects_zero_and_infinite_tol(capsys, tol):
     assert main(["validate", "homogeneous", "--tol", tol]) == EXIT_BAD_CONFIG

@@ -416,7 +416,7 @@ def test_quadrature_weights_cover_voxel_any_pattern():
     # union of quadrature weights over a voxel equals the voxel volume
     from xfft.homogenize import hashin_system
 
-    system, _ = hashin_system(8, store_quadrature=True)
+    system, _ = hashin_system(8)
     c = system.caches
     vol_voxel = float(np.prod(system.grid.h))
     cut_map = c.slot_map("cut")
@@ -444,7 +444,7 @@ def test_vectorized_caches_match_reference_elements():
     from xfft.homogenize import hashin_cell, hashin_system
 
     assembly, _, _ = hashin_cell()
-    system, _ = hashin_system(8, store_quadrature=False)
+    system, _ = hashin_system(8)
     c = system.caches
     rng = np.random.default_rng(22)
     for e in rng.choice(c.n_cut, size=10, replace=False):
@@ -476,7 +476,7 @@ def test_cut_kernel_matches_reference_every_pattern():
         for code in range(1, 15):
             levels = np.array([mixed_levels(rng, code) for _ in range(m)])
             c_plus, c_minus = spd(m), spd(m)
-            a, bfac, cv, d0, _, _ = _cut_matrices(
+            a, bfac, cv, d0 = _cut_matrices(
                 levels, grads, b_matrix(grads), CUT_TEMPLATES[code], c_plus, c_minus, vol_tet
             )
             for e in range(m):
@@ -518,7 +518,7 @@ def test_cut_kernel_matches_reference_on_sliver_subtets():
         grads = p1_grads(verts)
         for code in np.unique(codes):
             sel = np.nonzero(codes == code)[0]
-            a, bfac, cv, d0, _, _ = _cut_matrices(
+            a, bfac, cv, d0 = _cut_matrices(
                 levels[sel], grads, b_matrix(grads), CUT_TEMPLATES[code],
                 c_plus[sel], c_minus[sel], vol_tet,
             )
@@ -537,7 +537,6 @@ def test_caches_hold_no_cut_element_matrix_until_asked():
     system, _ = hashin_system(8)
     c = system.caches
     held = [v for v in vars(c).values() if isinstance(v, np.ndarray)]
-    held += c._derived.values()
     shapes = {a.shape for a in held}
     assert c.n_cut and not {(c.n_cut, 24, 24), (c.n_cut, 24, 6)} & shapes
     before = c.nbytes
@@ -545,6 +544,21 @@ def test_caches_hold_no_cut_element_matrix_until_asked():
     assert a.shape == (c.n_cut, 24, 24) and bfac.shape == (c.n_cut, 24, 6)
     assert c.nbytes == before + a.nbytes + bfac.nbytes
     assert c.cut_a is a  # kept, not recomputed
+
+
+@pytest.mark.parametrize("first, partner", [("cut_qw", "cut_qp"), ("cut_bfac", "cut_a")])
+def test_either_array_of_a_derived_pair_computes_and_keeps_both(first, partner):
+    from xfft.homogenize import hashin_system
+
+    system, _ = hashin_system(8)
+    c = system.caches
+    assert first not in vars(c) and partner not in vars(c)
+    before = c.nbytes
+    got = getattr(c, first)
+    assert partner in vars(c)
+    other = vars(c)[partner]
+    assert c.nbytes == before + got.nbytes + other.nbytes
+    assert getattr(c, first) is got and getattr(c, partner) is other  # kept, not recomputed
 
 
 def test_nbytes_counts_slot_maps():

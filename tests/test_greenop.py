@@ -102,7 +102,7 @@ def test_preconditioner_linear_self_adjoint(setup):
 def test_enriched_block_passthrough_bit_identical():
     from xfft.homogenize import hashin_system
 
-    system, _ = hashin_system(4, store_quadrature=False)
+    system, _ = hashin_system(4)
     rng = np.random.default_rng(3)
     f = system.zeros()
     f.enr[:] = rng.standard_normal(f.enr.shape)

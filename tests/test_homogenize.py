@@ -240,7 +240,7 @@ def test_fit_slope_synthetic():
     assert np.isclose(fit_slope(hs, errs), 2.0, rtol=1e-12)
     # guard drops a flat coarsest point
     errs_flat = [0.3, 1.0, 0.25]
-    s = fit_slope(hs, errs_flat, guard=True)
+    s = fit_slope(hs, errs_flat)
     assert np.isclose(s, 2.0, rtol=1e-12)
     with pytest.raises(ValueError):
         fit_slope([1.0, 0.5], [1.0, 0.0])
@@ -260,7 +260,7 @@ def test_convergence_study_synthetic_slope():
 
 
 def test_hashin_bulk_modulus_converges():
-    system, mats = hashin_system(16, store_quadrature=False)
+    system, mats = hashin_system(16)
     k_eff, res = bulk_modulus_hydrostatic(system, SolverConfig("lcg", 1e-7, 200))
     assert res.converged
     assert rel_error(k_eff, hashin_bulk_reference(mats)) < 1e-3

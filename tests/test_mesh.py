@@ -164,7 +164,7 @@ def test_gather_scatter_round_trip():
     # scatter(gather(u)) sums each grid dof once per incident element slot
     from xfft.homogenize import hashin_system
 
-    system, _ = hashin_system(4, store_quadrature=False)
+    system, _ = hashin_system(4)
     rng = np.random.default_rng(3)
     u = system.zeros()
     u.grid[:] = rng.standard_normal(u.grid.shape)

@@ -28,8 +28,7 @@ def cells(draw):
     mode = draw(st.sampled_from(["xfem", "p1"]))
     regions = [Region(Sphere(c, r), i + 1, 0) for i, (c, r) in enumerate(placed)]
     system = build_system(
-        PhaseAssembly(regions, 0), Grid((n, n, n), (CELL,) * 3), MATERIALS, mode=mode,
-        store_quadrature=False,
+        PhaseAssembly(regions, 0), Grid((n, n, n), (CELL,) * 3), MATERIALS, mode=mode
     )
     return system, draw(st.integers(0, 2**32 - 1))
 

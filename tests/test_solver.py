@@ -218,7 +218,7 @@ def test_basic_richardson_exact_on_identity_coefficient():
 
 
 def test_basic_monotone_decrease_on_hashin():
-    system, _ = hashin_system(8, store_quadrature=False)
+    system, _ = hashin_system(8)
     cfg = SolverConfig("basic", tol=1e-7, maxit=40)
     res = run_basic(system, cfg, EPS_HYDRO)
     r = [row[1] for row in res.history]
@@ -259,7 +259,7 @@ def test_bb_agrees_with_lcg_on_sphere():
 def test_ncg_exact_line_search_reproduces_lcg(laminate_n4):
     system, _ = laminate_n4
     cfg = SolverConfig("ncg", tol=1e-11, maxit=300)
-    res_n = run_ncg(system, cfg, EPS_HYDRO, line_search="exact")
+    res_n = run_ncg(system, cfg, EPS_HYDRO)
     res_l = run_lcg(system, SolverConfig("lcg", tol=1e-11, maxit=300), EPS_HYDRO)
     assert res_n.converged
     scale = np.abs(res_l.u.grid).max()
@@ -277,7 +277,7 @@ def test_ncg_default_matches_lcg_one_sweep_per_iteration():
     # In floating point the two recurrences separate once CG loses
     # orthogonality (~15 iterations on this cell), so the comparison runs
     # at a tolerance reached before that.
-    system, _ = hashin_system(8, store_quadrature=False)
+    system, _ = hashin_system(8)
     sweep = system._sweep
     calls = []
 
@@ -336,7 +336,7 @@ def test_config_rejects_maxit_that_is_not_an_integer(maxit):
 
 @pytest.mark.parametrize("scheme", ["lcg", "basic", "bb", "ncg"])
 def test_nonconverged_flagged(scheme):
-    system, _ = hashin_system(8, store_quadrature=False)
+    system, _ = hashin_system(8)
     res = run_scheme(system, SolverConfig(scheme, tol=1e-13, maxit=3), EPS_HYDRO)
     assert not res.converged
     assert res.iterations == 3
@@ -347,7 +347,7 @@ def test_multi_phase_voxel_stencil_matches_dense_assembly(mode):
     # coated sphere at N=6, three phases.  p1: every voxel is in the voxel
     # pass; xfem: the voxels holding cut elements also hold plain tets of
     # phases 0 and 1, which go through the special operator
-    system, _ = hashin_system(6, mode=mode, store_quadrature=False)
+    system, _ = hashin_system(6, mode=mode)
     assembly = hashin_cell()[0]
     c = system.caches
     plain = c.ptype[:, c.voxel_phase < 0]
@@ -398,7 +398,7 @@ def test_more_phases_or_regions_than_int8_rejected(mode):
 def test_results_bitwise_equal_for_one_and_two_fft_workers():
     from xfft import greenop
 
-    system, _ = hashin_system(8, store_quadrature=False)
+    system, _ = hashin_system(8)
     config = SolverConfig(scheme="lcg", tol=1e-10, maxit=200)
     before = greenop.fft_workers()
     runs = []
@@ -421,7 +421,7 @@ def test_results_bitwise_equal_for_one_and_two_openblas_threads():
     before = openblas_threads()
     if before is None:
         pytest.skip("numpy's bundled OpenBLAS is not reachable")
-    system, _ = hashin_system(8, store_quadrature=False)
+    system, _ = hashin_system(8)
     config = SolverConfig(scheme="lcg", tol=1e-10, maxit=200)
     runs = []
     try:
@@ -441,7 +441,7 @@ def test_results_bitwise_equal_for_one_and_two_openblas_threads():
 def test_progress_logged_once_per_iteration_at_debug(caplog, scheme):
     import logging
 
-    system, _ = hashin_system(8, store_quadrature=False)
+    system, _ = hashin_system(8)
     with caplog.at_level(logging.DEBUG, logger="xfft.solver"):
         res = run_scheme(system, SolverConfig(scheme=scheme, tol=1e-10, maxit=200), EPS_HYDRO)
     records = [r for r in caplog.records if r.name == "xfft.solver"]
@@ -509,9 +509,7 @@ def test_sweep_in_row_blocks_matches_one_block(monkeypatch, request, cell):
     else:
         system = hashin_system(8, mode="p1" if cell == "hashin_p1" else "xfem")[0]
     monkeypatch.setattr(solver, "SWEEP_ROWS", 11)
-    blocked = System(
-        system.grid, system.topo, system.layout, system.caches, system.symbol, system.stiffness
-    )
+    blocked = System(system.layout, system.caches, system.symbol)
     idx, bounds = system.caches.voxel_dofs, system.caches.voxel_bounds
     n1, n2, n3 = system.grid.n
     last_layer = idx[:, 0] // 3 // (n2 * n3) == n1 - 1
@@ -539,9 +537,7 @@ def test_sweep_in_row_blocks_matches_one_block(monkeypatch, request, cell):
 
 
 def _with_caches(system, caches):
-    return System(
-        system.grid, system.topo, system.layout, caches, system.symbol, system.stiffness
-    )
+    return System(system.layout, caches, system.symbol)
 
 
 @pytest.mark.parametrize("cell", ["hashin", "two_spheres", "hashin_p1"])
@@ -614,6 +610,7 @@ def test_quadrature_set_equal_with_and_without_stored_record(two_spheres_n8):
     lazy, assembly = two_spheres_n8
     c = lazy.caches
     assert (c.n_cut, c.n_mi, c.n_dropped_dofs) == (206, 10, 24)
-    stored = build_system(assembly, lazy.grid, list(c.stiffness), store_quadrature=True)
+    stored = build_system(assembly, lazy.grid, list(c.stiffness))
+    stored.caches.cut_qp, stored.caches.mi_qp  # computed right after the build, and kept
     for got, want in zip(quadrature_set(lazy), quadrature_set(stored)):
         assert np.array_equal(got, want)
