@@ -38,7 +38,7 @@ from .homogenize import (
     effective_stiffness,
     fit_slope,
     hashin_bulk_reference,
-    hashin_cell,
+    hashin_system,
     homogeneous_cell,
     laminate_cell,
     laminate_cell_reference,
@@ -94,20 +94,19 @@ def _vector(x, path, n):
     return [_number(v, path) for v in x]
 
 
+def _checked(path, fn, *args, **kwargs):
+    """`fn(*args, **kwargs)`, a library constructor or check, with its
+    ValueError reported as a ConfigError at `path`."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _sphere(obj, path):
     center = tuple(_vector(obj["center"], path + ".center", 3))
     radius = _number(obj["radius"], path + ".radius")
-    try:
-        return Sphere(center=center, radius=radius)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _solver_config(path, **kwargs):
-    try:
-        return SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _checked(path, Sphere, center=center, radius=radius)
 
 
 class RunConfig:
@@ -126,10 +125,9 @@ class RunConfig:
         _require(
             isinstance(n, (list, tuple)) and len(n) == 3, "grid.n", "expected 3 ints"
         )
-        _require(all(isinstance(v, int) and v >= 2 for v in n), "grid.n", "ints >= 2")
-        self.n = tuple(n)
-        self.lengths = tuple(_vector(g["lengths"], "grid.lengths", 3))
-        _require(all(l > 0 for l in self.lengths), "grid.lengths", "must be positive")
+        lengths = _vector(g["lengths"], "grid.lengths", 3)
+        self.grid = _checked("grid", Grid, n=n, lengths=lengths)
+        self.n, self.lengths = self.grid.n, self.grid.lengths
 
         _require(isinstance(data["phases"], list) and data["phases"], "phases", "non-empty list")
         self.phase_names = []
@@ -141,21 +139,12 @@ class RunConfig:
             _require(ph["name"] not in self.phase_names, path + ".name", "duplicate phase name")
             young = _number(ph["young"], path + ".young")
             poisson = _number(ph["poisson"], path + ".poisson")
-            try:
-                self.materials.append(MaterialIso(young=young, poisson=poisson))
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from None
+            self.materials.append(_checked(path, MaterialIso, young=young, poisson=poisson))
             self.phase_names.append(ph["name"])
 
         self.assembly = self._parse_geometry(data["geometry"])
-        try:
-            check_cell(self.assembly, self.lengths)
-        except ValueError as exc:
-            raise ConfigError(f"geometry: {exc}") from None
-        try:
-            check_phases(self.assembly, len(self.materials))
-        except ValueError as exc:
-            raise ConfigError(f"phases: {exc}") from None
+        _checked("geometry", check_cell, self.assembly, self.lengths)
+        _checked("phases", check_phases, self.assembly, len(self.materials))
         self.discretization = data.get("discretization", "xfem")
         _require(
             self.discretization in ("xfem", "p1"),
@@ -168,7 +157,8 @@ class RunConfig:
         _check_keys(s, "solver", required=(), optional=("scheme", "tol", "maxit"))
         tol, maxit = _number(s.get("tol", 1e-7), "solver.tol"), s.get("maxit", 500)
         _require(_is_int(maxit), "solver.maxit", "expected an integer")
-        self.solver = _solver_config("solver", scheme=s.get("scheme", "lcg"), tol=tol, maxit=maxit)
+        scheme = s.get("scheme", "lcg")
+        self.solver = _checked("solver", SolverConfig, scheme=scheme, tol=tol, maxit=maxit)
 
         out = data.get("outputs", {})
         _check_keys(out, "outputs", required=(), optional=("fields", "log", "study_ns"))
@@ -207,10 +197,7 @@ class RunConfig:
                 _check_keys(g, path, required=("type", "point", "normal", "inside", "outside"))
                 point = tuple(_vector(g["point"], path + ".point", 3))
                 normal = tuple(_vector(g["normal"], path + ".normal", 3))
-                try:
-                    shape = Plane(point=point, normal=normal)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}: {exc}") from None
+                shape = _checked(path, Plane, point=point, normal=normal)
             elif kind == "sphere_union":
                 _check_keys(g, path, required=("type", "spheres", "inside", "outside"))
                 _require(
@@ -237,7 +224,7 @@ class RunConfig:
         return PhaseAssembly(regions=regions, background=background)
 
     def build(self, n=None):
-        grid = Grid(n=n or self.n, lengths=self.lengths)
+        grid = self.grid if n is None else Grid(n, self.lengths)
         return build_system(
             self.assembly, grid, self.materials, mode=self.discretization
         )
@@ -429,9 +416,7 @@ def cmd_solve(cfg: RunConfig, out_dir):
 
 
 def cmd_sweep(cfg: RunConfig, out_dir):
-    if not cfg.study_ns:
-        print("error: sweep requires outputs.study_ns", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+    _require(cfg.study_ns, "outputs.study_ns", "sweep needs a non-empty list")
     os.makedirs(out_dir, exist_ok=True)
     ns = sorted(cfg.study_ns)
     rows = []
@@ -483,7 +468,7 @@ def cmd_validate(name, tol_override=None, scheme="lcg"):
 
     def solver_config(tol, maxit):
         tol = tol if tol_override is None else tol_override
-        return SolverConfig(scheme=scheme, tol=tol, maxit=maxit)
+        return _checked("--scheme/--tol", SolverConfig, scheme=scheme, tol=tol, maxit=maxit)
 
     if name == "homogeneous":
         assembly, materials, lengths = homogeneous_cell()
@@ -508,17 +493,14 @@ def cmd_validate(name, tol_override=None, scheme="lcg"):
         print(f"laminate: effective stiffness error {err:.3e} -> "
               f"{'PASS' if ok else 'FAIL'}")
         return ok
-    if name == "hashin":
-        assembly, materials, lengths = hashin_cell()
-        config = solver_config(1e-7, 300)
-        system = build_system(assembly, Grid((16, 16, 16), lengths), materials)
-        k_eff, res = bulk_modulus_hydrostatic(system, config)
-        err = rel_error(k_eff, hashin_bulk_reference(materials))
-        ok = err < 1e-3 and 24 <= res.iterations <= 36 and res.converged
-        print(f"hashin: K_eff = {k_eff:.6f} MPa, rel error {err:.3e}, "
-              f"{res.iterations} iterations -> {'PASS' if ok else 'FAIL'}")
-        return ok
-    raise ValueError(f"unknown builtin '{name}'")
+    config = solver_config(1e-7, 300)
+    system, materials = hashin_system(16)
+    k_eff, res = bulk_modulus_hydrostatic(system, config)
+    err = rel_error(k_eff, hashin_bulk_reference(materials))
+    ok = err < 1e-3 and 24 <= res.iterations <= 36 and res.converged
+    print(f"hashin: K_eff = {k_eff:.6f} MPa, rel error {err:.3e}, "
+          f"{res.iterations} iterations -> {'PASS' if ok else 'FAIL'}")
+    return ok
 
 
 def cmd_symbol_dump(cfg: RunConfig, out_dir):
@@ -569,10 +551,13 @@ def main(argv=None):
     parser.add_argument("--threads", type=int, default=None, help="worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="run one cell solve")
-    p_sweep = sub.add_parser("sweep", help="run a resolution study")
-    p_dump = sub.add_parser("symbol-dump", help="dump the preconditioner symbol")
-    for p in (p_solve, p_sweep, p_dump):
+    for command, run, text in (
+        ("solve", cmd_solve, "run one cell solve"),
+        ("sweep", cmd_sweep, "run a resolution study"),
+        ("symbol-dump", cmd_symbol_dump, "dump the preconditioner symbol"),
+    ):
+        p = sub.add_parser(command, help=text)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
         p.add_argument("--tol", type=float, default=None, help="override solver.tol")
@@ -586,34 +571,22 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         set_threads(_threads(args))
-        if args.command != "validate":
-            cfg = load_config(args.config)
-            if args.tol is not None or args.scheme is not None:
-                cfg.solver = _solver_config(
-                    "--scheme/--tol",
-                    scheme=args.scheme or cfg.solver.scheme,
-                    tol=args.tol if args.tol is not None else cfg.solver.tol,
-                    maxit=cfg.solver.maxit,
-                )
+        if args.command == "validate":
+            ok = cmd_validate(args.case, tol_override=args.tol, scheme=args.scheme)
+            return EXIT_OK if ok else EXIT_VALIDATE_FAIL
+        cfg = load_config(args.config)
+        if args.tol is not None or args.scheme is not None:
+            cfg.solver = _checked(
+                "--scheme/--tol",
+                SolverConfig,
+                scheme=args.scheme or cfg.solver.scheme,
+                tol=args.tol if args.tol is not None else cfg.solver.tol,
+                maxit=cfg.solver.maxit,
+            )
+        return args.run(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-
-    if args.command == "validate":
-        try:
-            ok = cmd_validate(args.case, tol_override=args.tol, scheme=args.scheme)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_CONFIG
-        return EXIT_OK if ok else EXIT_VALIDATE_FAIL
-
-    if args.command == "solve":
-        return cmd_solve(cfg, args.out)
-    if args.command == "sweep":
-        return cmd_sweep(cfg, args.out)
-    if args.command == "symbol-dump":
-        return cmd_symbol_dump(cfg, args.out)
-    raise AssertionError
 
 
 if __name__ == "__main__":

@@ -378,11 +378,11 @@ class ElementCaches:
 
     No cut element keeps its matrices: `cut_a` and `cut_bfac` (internally
     scaled, as summed into `special_k`) are recomputed from `cut_levels`,
-    `cut_phases` and `cut_scale` on first access, and so are the
-    quadrature records `cut_qp`/`cut_qw` (zero-padded to 24 points) and
-    `mi_qp`/`mi_qw`, both arrays of a pair on first access to either.
-    They are kept as instance attributes, which `nbytes` counts.  The
-    fallback elements are few and keep `mi_a` and `mi_bfac`.
+    `cut_phases` and `cut_scale` on first access, and so is the quadrature
+    record `cut_qp`/`cut_qw` (zero-padded to 24 points), both arrays of a
+    pair on first access to either.  They are kept as instance attributes,
+    which `nbytes` counts.  The fallback elements are few and keep `mi_a`,
+    `mi_bfac` and their quadrature record `mi_qp`/`mi_qw` from the build.
     """
 
     grid: Grid
@@ -411,6 +411,8 @@ class ElementCaches:
     mi_voxel: np.ndarray
     mi_a: np.ndarray  # (n_mi, 12, 12)
     mi_bfac: np.ndarray  # (n_mi, 12, 6)
+    mi_qp: np.ndarray  # (n_mi, 4, 3) quadrature points
+    mi_qw: np.ndarray  # (n_mi, 4) quadrature weights
     # the special elements summed into one operator
     special_dofs: np.ndarray  # (3 n_touched,) flat dofs of the touched ids
     special_k: scipy.sparse.bsr_matrix  # (n_touched, n_touched)
@@ -467,18 +469,6 @@ class ElementCaches:
         """(n_cut, 24) quadrature weights, zero on padding points."""
         self.cut_qp, self.cut_qw = self._cut_quadrature()
         return self.cut_qw
-
-    @cached_property
-    def mi_qp(self) -> np.ndarray:
-        """(n_mi, 4, 3) quadrature points of the fallback elements."""
-        self.mi_qw = np.full((self.n_mi, 4), self.tet_volume / 4.0)
-        return tet_points(self.topo, self.grid, self.mi_ttype, self.mi_voxel)
-
-    @cached_property
-    def mi_qw(self) -> np.ndarray:
-        """(n_mi, 4) quadrature weights of the fallback elements."""
-        self.mi_qp = tet_points(self.topo, self.grid, self.mi_ttype, self.mi_voxel)
-        return np.full((self.n_mi, 4), self.tet_volume / 4.0)
 
     def _scaled_cut_matrices(self):
         a = np.empty((self.n_cut, 24, 24))
@@ -964,6 +954,8 @@ def build_caches(
         mi_voxel=mi_voxel,
         mi_a=mi_a,
         mi_bfac=mi_bfac,
+        mi_qp=qpos,
+        mi_qw=np.full((n_mi, 4), vol_tet / 4.0),
         special_dofs=special_dofs,
         special_k=special_k,
         special_load=special_load,

@@ -162,13 +162,11 @@ class DofLayout:
 def detect_enrichment(nodal: np.ndarray, topo: ElementTopology, grid: Grid) -> DofLayout:
     """Mark cut elements and collect the enriched node set.
 
-    A tet is cut by interface k when its 4 nodal values of field k carry
-    mixed signs (values are snapped, so no zeros occur).  Tets cut by more
-    than one interface are excluded from enrichment and counted.
+    A tet is cut by interface k when its 4 nodal values of field k
+    (`nodal` is (n_interfaces, N1, N2, N3)) carry mixed signs (values are
+    snapped, so no zeros occur).  Tets cut by more than one interface are
+    excluded from enrichment and counted.
     """
-    nodal = np.asarray(nodal)
-    if nodal.ndim == 3:
-        nodal = nodal[None]
     shape = tuple(grid.n)
     cut_region = np.full((topo.n_tets,) + shape, -1, dtype=np.int8)
     n_cut_fields = np.zeros((topo.n_tets,) + shape, dtype=np.int8)

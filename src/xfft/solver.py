@@ -103,7 +103,7 @@ class SolverConfig:
     maxit: int = 500
 
     def __post_init__(self):
-        if self.scheme not in ("basic", "bb", "lcg", "ncg"):
+        if not isinstance(self.scheme, str) or self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
@@ -360,11 +360,12 @@ def run_lcg(system: System, config: SolverConfig, eps_bar) -> SolveResult:
     vol = system.grid.volume
     u = system.zeros()
     f, sigma, z, res = run.evaluate(u)
-    r0 = f.copy()
+    # u.b for the load b = r(0) follows from the stress: vol eps_bar.(<sigma> - <C> eps_bar)
+    sigma0 = system.caches.total_cv @ run.eps_bar / vol
     d = z.scaled(-1.0)
     del z
     while True:
-        run.energies.append(0.5 * (u.dot(f) + u.dot(r0)))
+        run.energies.append(0.5 * (u.dot(f) + vol * (run.eps_bar @ (sigma - sigma0))))
         if run.stop(res, sigma):
             return run.finish(u, sigma, res)
         w, dsig_int = system._sweep(d, ZERO6)

@@ -88,11 +88,19 @@ def test_invalid_values_rejected():
         ({}, ["solve"], "abc", "XFFT_THREADS"),
         ({}, ["solve"], "0", "XFFT_THREADS"),
         ({}, ["--threads", "0", "solve"], None, "--threads"),
+        ({"grid": {"n": [1, 4, 4], "lengths": [16, 16, 16]}}, ["solve"], None, "grid"),
+        ({"grid": {"n": [4, 4, 4.5], "lengths": [16, 16, 16]}}, ["solve"], None, "grid"),
+        ({"grid": {"n": [True, 4, 4], "lengths": [16, 16, 16]}}, ["solve"], None, "grid"),
+        ({"grid": {"n": [4, 4, 4], "lengths": [0, 16, 16]}}, ["solve"], None, "grid"),
+        ({}, ["sweep"], None, "outputs.study_ns"),
+        ({"solver": {"scheme": ["lcg"]}}, ["solve"], None, "solver"),
     ],
     ids=[
         "fields-string", "log-int", "study_ns-int", "log-absolute", "log-parent-dir",
         "maxit-float", "tol-bool", "flag-scheme-unknown", "flag-tol-negative",
         "env-threads-abc", "env-threads-0", "flag-threads-0",
+        "grid-n-1", "grid-n-float", "grid-n-bool", "grid-lengths-0", "sweep-study_ns-missing",
+        "scheme-list",
     ],
 )
 def test_cli_rejects_invalid_outputs_solver_and_threads(
@@ -303,6 +311,13 @@ def test_cli_validate_rejects_zero_and_infinite_tol(capsys, tol):
     assert main(["validate", "homogeneous", "--tol", tol]) == EXIT_BAD_CONFIG
     err = capsys.readouterr()
     assert "tol must be positive and finite" in err.err and "PASS" not in err.out
+
+
+def test_cli_validate_rejects_unknown_scheme(capsys):
+    assert main(["validate", "homogeneous", "--scheme", "gauss"]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr()
+    assert "config error" in err.err and "unknown scheme" in err.err
+    assert "PASS" not in err.out
 
 
 def test_cli_validate_homogeneous_and_laminate():

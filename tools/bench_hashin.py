@@ -3,14 +3,16 @@
     python tools/bench_hashin.py [--n128] [--out BENCH_hashin.json]
 
 Runs one child process per N, one after another, for N = 16, 32 and 64
-(and 128 with `--n128`), each with one BLAS thread and one FFT worker.  A
+(and 128 with `--n128`), each with one BLAS thread, one FFT worker and
+numpy's huge-page madvise off (`NUMPY_MADVISE_HUGEPAGE=0`; with it on, the
+memory-bound sweep's time is bimodal by about 20% either way).  A
 child builds the hashin cell (`homogenize.hashin_system`), solves the
 hydrostatic load case with lcg at tol 1e-7, and then times 10 `_sweep`
 calls and 10 `precondition` calls at the solution.  The output holds per
 N: build and solve seconds, the iteration count, the median sweep and
 preconditioner milliseconds, `ElementCaches.nbytes`, the peak RSS (MiB,
 `ru_maxrss`) after the build and after the solve, the thread counts in
-effect and the git commit.
+effect, the madvise setting and the git commit.
 """
 
 import argparse
@@ -106,7 +108,7 @@ def main(argv=None):
         sys.path.insert(0, str(ROOT / "src"))
         print(json.dumps(child(args.child)))
         return
-    env = dict(os.environ, **{v: "1" for v in THREAD_ENV})
+    env = dict(os.environ, **{v: "1" for v in THREAD_ENV}, NUMPY_MADVISE_HUGEPAGE="0")
     rows = []
     for n in (16, 32, 64) + ((128,) if args.n128 else ()):
         out = subprocess.run(
@@ -120,6 +122,7 @@ def main(argv=None):
         "git_sha": git_sha(),
         "cpus_usable": len(os.sched_getaffinity(0)),
         "thread_env": {v: env[v] for v in THREAD_ENV},
+        "numpy_madvise_hugepage": env["NUMPY_MADVISE_HUGEPAGE"],
         "rows": rows,
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
