@@ -174,9 +174,11 @@ class RunConfig:
         )
         self.study_ns = out.get("study_ns", [])
         _require(
-            isinstance(self.study_ns, list) and all(_is_int(v) and v >= 2 for v in self.study_ns),
+            isinstance(self.study_ns, list)
+            and all(_is_int(v) and v >= 2 for v in self.study_ns)
+            and len(set(self.study_ns)) == len(self.study_ns),
             "outputs.study_ns",
-            "expected a list of ints >= 2",
+            "expected a list of distinct ints >= 2",
         )
 
     def _phase_index(self, name, path):
@@ -232,10 +234,12 @@ class RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"

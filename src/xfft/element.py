@@ -487,10 +487,10 @@ class ElementCaches:
         verts, _, _ = tet_table(self.topo, self.grid)
         qp = np.zeros((self.n_cut, 24, 3))
         qw = np.zeros((self.n_cut, 24))
-        for t, code, ch in _cut_chunks(self.cut_ttype, self.cut_levels):
+        for code, ch in _cut_chunks(self.cut_levels):
             ratio, bary = _subtet_fractions(self.cut_levels[ch], CUT_TEMPLATES[code])
             lam_q = SH_BARY @ bary  # parent barycentric coordinates of the points
-            pos = np.einsum("msqb,bv->msqv", lam_q, verts[t])
+            pos = np.einsum("msqb,mbv->msqv", lam_q, verts[self.cut_ttype[ch]])
             pos = pos + self.cut_voxel[ch, None, None, :] * h
             n_q = 4 * ratio.shape[1]
             qp[ch, :n_q] = pos.reshape(len(ch), -1, 3)
@@ -543,7 +543,7 @@ def _subtet_ratio(bary):
 
 def _subtet_fractions(levels, template):
     """Kept volume fractions (m, S) and barycentric vertex matrices
-    (m, S, 4, 4) of the subtets of one (type, pattern) group: slivers
+    (m, S, 4, 4) of the subtets of one sign pattern: slivers
     below `DEGENERATE_REL_VOLUME` are dropped and the rest renormalized."""
     bary = _template_bary(template, levels)
     ratio = _subtet_ratio(bary)
@@ -575,7 +575,7 @@ _K_IDX, _K_W, _X_IDX, _X_W = _stiffness_gathers()
 
 
 def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet):
-    """Unscaled matrices of a chunk of cut elements of one (type, pattern).
+    """Unscaled matrices of a chunk of cut elements of one sign pattern.
 
     `c_plus`/`c_minus` (m, 6, 6) are the stiffnesses on either side.  On
     side s the enriched gradients are linear in the parent barycentric
@@ -592,6 +592,8 @@ def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet):
     diagonal of M_+ + M_-.  The 12 standard dofs share the constant strain
     matrix B = `b_mat`, so with cv = sum_s |side s| C_s the load factor is
     Bfac = [B^T cv; g^T] and the first 12 columns of A are Bfac B.
+    The tet data `grads` (m, 4, 3) and `b_mat` (m, 6, 12) are per element,
+    or shared by the chunk as (4, 3) and (6, 12).
     Returns a (m, 24, 24), bfac (m, 24, 6), cv (m, 6, 6) and the scaling
     integrals (m, 4, 3).
     """
@@ -613,9 +615,8 @@ def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet):
     side_vol = vol_tet * wr.sum(axis=2)  # (m, 2)
 
     coef = np.abs(levels)[:, None, :] - side_sign * levels[:, None, :]
-    t_mat = coef[..., None, None] * grads + np.eye(4)[:, :, None] * (coef @ grads)[
-        :, :, None, None, :
-    ]
+    t_mat = coef[..., None, None] * grads[..., None, None, :, :]
+    t_mat += np.eye(4)[:, :, None] * (coef @ grads)[:, :, None, None, :]
     t_mat = t_mat.reshape(m, 2, 4, 12)  # [s, b, (i, a)]
     mm = (t_mat.transpose(0, 1, 3, 2) @ lam2 @ t_mat).reshape(m, 2, 4, 3, 4, 3)
 
@@ -633,33 +634,33 @@ def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet):
     d0 = 0.5 * (dm.sum(axis=-1, keepdims=True) + dm)
     cv = side_vol[:, 0, None, None] * c_plus + side_vol[:, 1, None, None] * c_minus
     bfac = np.empty((m, 24, 6))
-    bfac[:, :12] = (cv.reshape(-1, 6) @ b_mat).reshape(m, 6, 12).transpose(0, 2, 1)
+    bfac[:, :12] = (cv @ b_mat).transpose(0, 2, 1)
     bfac[:, 12:] = gt
     a = np.empty((m, 24, 24))
-    a[:, :, :12] = (bfac.reshape(-1, 6) @ b_mat).reshape(m, 24, 12)
+    a[:, :, :12] = bfac @ b_mat
     a[:, :12, 12:] = a[:, 12:, :12].transpose(0, 2, 1)
     a[:, 12:, 12:] = axx.reshape(m, 12, 12)
     return a, bfac, cv, d0
 
 
-_CHUNK = 512
+_CHUNK = 128
 
 
-def _cut_chunks(ttype, levels):
-    """Chunks (t, code, index) of at most `_CHUNK` cut elements sharing
-    their tet type t and sign pattern code (bit i set <=> levels[:, i] > 0)."""
+def _cut_chunks(levels):
+    """Chunks (code, index) of at most `_CHUNK` cut elements of any tet
+    type sharing one sign pattern code (bit i set <=> levels[:, i] > 0)."""
     pattern = ((levels > 0) << np.arange(4)).sum(axis=1)
-    for t in range(6):
-        for code in range(1, 15):
-            sel = np.nonzero((ttype == t) & (pattern == code))[0]
-            for lo in range(0, len(sel), _CHUNK):
-                yield t, code, sel[lo : lo + _CHUNK]
+    for code in range(1, 15):
+        sel = np.nonzero(pattern == code)[0]
+        for lo in range(0, len(sel), _CHUNK):
+            yield code, sel[lo : lo + _CHUNK]
 
 
 def _cut_kernel(ttype, levels, phases, stiffness, grads, b_mats, vol_tet):
-    """(index, `_cut_matrices` output) per chunk of `_cut_chunks`."""
-    for t, code, ch in _cut_chunks(ttype, levels):
-        cs = stiffness[phases[ch, 0]], stiffness[phases[ch, 1]]
+    """(index, `_cut_matrices` output) per chunk of `_cut_chunks`, each
+    element with the gradients and strain matrix of its tet type."""
+    for code, ch in _cut_chunks(levels):
+        t, cs = ttype[ch], (stiffness[phases[ch, 0]], stiffness[phases[ch, 1]])
         yield ch, _cut_matrices(levels[ch], grads[t], b_mats[t], CUT_TEMPLATES[code], *cs, vol_tet)
 
 
@@ -877,11 +878,7 @@ def build_caches(
     mi_a = vol_tet * np.einsum("mci,mcd,mdj->mij", b, cbar, b)
     mi_bfac = vol_tet * np.einsum("mci,mcd->mid", b, cbar)
     special.add(1, slice(0, n_mi), mi_a, mi_bfac)
-    # one partial sum per tet type, in type order: total_cv's last bits follow it
-    by_type = np.zeros((6, 6, 6))
-    np.add.at(by_type, mi_ttype, cbar)
-    for part in by_type:
-        cv_sum += vol_tet * part
+    cv_sum += vol_tet * cbar.sum(axis=0)
 
     # plain element matrices V B^T C B and load maps V B^T C per (tet, phase),
     # summed over the six tets of a voxel into its 24-dof stencil K_p and

@@ -65,8 +65,8 @@ class MaterialIso:
     poisson: float
 
     def __post_init__(self):
-        if self.young <= 0.0:
-            raise ValueError(f"Young's modulus must be positive, got {self.young}")
+        if not 0.0 < self.young < np.inf:
+            raise ValueError(f"Young's modulus must be positive and finite, got {self.young}")
         if not -1.0 < self.poisson < 0.5:
             raise ValueError(
                 f"Poisson's ratio must lie in (-1, 0.5), got {self.poisson}"

@@ -94,13 +94,14 @@ def test_invalid_values_rejected():
         ({"grid": {"n": [4, 4, 4], "lengths": [0, 16, 16]}}, ["solve"], None, "grid"),
         ({}, ["sweep"], None, "outputs.study_ns"),
         ({"solver": {"scheme": ["lcg"]}}, ["solve"], None, "solver"),
+        ({"outputs": {"study_ns": [4, 4, 8]}}, ["sweep"], None, "outputs.study_ns"),
     ],
     ids=[
         "fields-string", "log-int", "study_ns-int", "log-absolute", "log-parent-dir",
         "maxit-float", "tol-bool", "flag-scheme-unknown", "flag-tol-negative",
         "env-threads-abc", "env-threads-0", "flag-threads-0",
         "grid-n-1", "grid-n-float", "grid-n-bool", "grid-lengths-0", "sweep-study_ns-missing",
-        "scheme-list",
+        "scheme-list", "study_ns-duplicate",
     ],
 )
 def test_cli_rejects_invalid_outputs_solver_and_threads(
@@ -182,6 +183,13 @@ def test_malformed_json_line_anchored(tmp_path):
     p.write_text('{\n "grid": [,]\n}\n')
     with pytest.raises(ConfigError, match="line 2"):
         load_config(str(p))
+
+
+def test_cli_rejects_config_that_is_not_utf8(tmp_path, capsys):
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe" + json.dumps(minimal_config()).encode("utf-16-le"))
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_solve_homogeneous(tmp_path, capsys):

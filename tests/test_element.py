@@ -486,6 +486,34 @@ def test_cut_kernel_matches_reference_every_pattern():
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (t, code)
 
 
+def test_cut_kernel_matches_reference_on_mixed_tet_types():
+    # one kernel call per sign pattern on a chunk that holds all six tet
+    # types, each element with the gradients and strain matrix of its type
+    from xfft.element import _cut_matrices
+    from xfft.mesh import Grid, build_topology
+
+    grid = Grid((4, 5, 6), (2.0, 3.0, 4.5))
+    verts, grads, b_mats = tet_table(build_topology(), grid)
+    vol_tet = float(np.prod(grid.h)) / 6.0
+    rng = np.random.default_rng(25)
+    ttype = np.repeat(np.arange(6), 2)
+    rng.shuffle(ttype)
+    m = len(ttype)
+    for code in range(1, 15):
+        levels = np.array([mixed_levels(rng, code) for _ in range(m)])
+        c_plus, c_minus = rng.standard_normal((2, m, 6, 6))
+        c_plus = c_plus @ c_plus.transpose(0, 2, 1) + 6.0 * np.eye(6)
+        c_minus = c_minus @ c_minus.transpose(0, 2, 1) + 6.0 * np.eye(6)
+        a, bfac, cv, d0 = _cut_matrices(
+            levels, grads[ttype], b_mats[ttype], CUT_TEMPLATES[code], c_plus, c_minus, vol_tet
+        )
+        for e, t in enumerate(ttype):
+            ref = assemble_enriched(verts[t], levels[e], c_plus[e], c_minus[e], np.ones((4, 3)))
+            d0_ref = d0_element(verts[t], levels[e])
+            for got, want in ((a[e], ref.a), (bfac[e], ref.bfac), (cv[e], ref.cv), (d0[e], d0_ref)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (t, code)
+
+
 def test_cut_kernel_matches_reference_on_sliver_subtets():
     # a level within 1e-14 of zero at one node leaves subtets below
     # DEGENERATE_REL_VOLUME, which both the chunk kernel and the reference

@@ -91,6 +91,12 @@ def test_invalid_young_rejected():
         MaterialIso(young=-1.0, poisson=0.3)
 
 
+@pytest.mark.parametrize("young", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_young_rejected(young):
+    with pytest.raises(ValueError, match="Young"):
+        MaterialIso(young=young, poisson=0.3)
+
+
 def test_stiffness_bounds_single_phase():
     c = iso_stiffness(MaterialIso(young=1.5, poisson=0.25))
     lo, hi = stiffness_bounds([c])
