@@ -34,6 +34,7 @@ sum.  Tests and diagnostics that want a cut element's matrices or the
 quadrature record get them recomputed on first access.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -353,31 +354,39 @@ class ElementCaches:
     special ones, is derived on first access and kept, like the arrays
     recomputed below.
 
-    A voxel whose six tets are all regular has one phase, `voxel_phase`,
-    and is applied as one 24-dof stencil (slot 3 * corner + component):
-    `voxel_k[p]` = sum_t V P_t^T B_t^T C_p B_t P_t and the stress map
-    `voxel_s[p]` = sum_t V C_p B_t P_t, whose transpose is the load map.
-    `voxel_dofs` indexes these voxels' dofs in the flat dof vector, as
-    `DofLayout` numbers them: row v lists the dofs of the 8 corners of one
-    voxel, in slot order, and the rows are grouped by phase, phase p in rows
-    `voxel_bounds[p]:voxel_bounds[p + 1]`.  The sweep gathers with it,
-    and scatters back with one `np.bincount`.  It is intp, so that numpy
-    indexes with it without a conversion on every sweep.  `voxel_phase` is
-    -1 on every voxel that holds a special element.
+    A voxel whose six tets are all regular has one phase, `voxel_phase`
+    (-1 on every voxel that holds a special element), and one 24-dof
+    stencil (slot 3 * corner + component): `voxel_k[p]` = sum_t V P_t^T
+    B_t^T C_p B_t P_t and the stress map `voxel_s[p]` = sum_t V C_p B_t
+    P_t, whose transpose is the load map.  The phase with the most regular
+    voxels is the majority phase m, `majority`.  Its operator A_m on every
+    voxel is a periodic convolution, applied by FFT, and it carries no load
+    and no stress, because a translation has no strain.  The sweep applies
+    the rest: K_p - K_m and S_p - S_m on the regular voxels of the other
+    phases, and the special operator.  `minority_dofs` indexes those
+    voxels' dofs in the flat dof vector, as the layout's `dofs`, bound at
+    build, numbers them: row v lists the dofs of the 8 corners of one
+    voxel, in slot order, and the rows are grouped by phase.  It is intp,
+    so that numpy indexes with it without a conversion on every sweep.
+    `voxel_dofs`, derived on first access and kept, is the same index over
+    every regular voxel, phase p in rows `voxel_bounds[p]:voxel_bounds[p + 1]`.
 
     The special elements and the regular ("plain") tets of the voxels with
-    `voxel_phase` -1 are summed once into one operator on the flat dof
-    vector: `special_dofs` lists the dofs they touch, three per touched id
-    in ascending id order, `special_k` is the summed stiffness over those
-    dofs (block-sparse, 3x3 blocks; its pattern holds the node pairs that
-    share a special element, in both orientations, though the build sums
-    each element over one orientation of its pairs alone) and
-    `special_load` the summed load map sum_e L_e^T Bfac_e, whose transpose
-    maps the touched dofs to volume-integrated stress.  `total_cv` is the
-    volume-integrated stiffness summed over every element.
+    `voxel_phase` -1 are summed once, each minus phase m's matrices on its
+    tet, into one operator on the flat dof vector, so phase m's plain tets
+    drop out: `special_dofs` lists the dofs of the corners of these voxels
+    and of the enriched slots, three per id in ascending id order,
+    `special_k` is the summed stiffness over those dofs (block-sparse, 3x3
+    blocks; its pattern holds the node pairs that share a special element
+    or a plain tet of another phase, in both orientations, though the build
+    sums each element over one orientation of its pairs alone) and
+    `special_load` the summed load map sum_e L_e^T (Bfac_e - V B_e^T C_m),
+    whose transpose maps the touched dofs to volume-integrated stress.
+    `total_cv` is the volume-integrated stiffness summed over every
+    element.
 
     No cut element keeps its matrices: `cut_a` and `cut_bfac` (internally
-    scaled, as summed into `special_k`) are recomputed from `cut_levels`,
+    scaled, as `special_k` scales them) are recomputed from `cut_levels`,
     `cut_phases` and `cut_scale` on first access, and so is the quadrature
     record `cut_qp`/`cut_qw` (zero-padded to 24 points), both arrays of a
     pair on first access to either.  They are kept as instance attributes,
@@ -393,8 +402,10 @@ class ElementCaches:
     tet_volume: float
     base_phase: np.ndarray  # (N1, N2, N3) int8, from the level-set signs at the (0,0,0) corner
     voxel_phase: np.ndarray  # (N1, N2, N3) int8, -1 on voxels with a special element
-    voxel_dofs: np.ndarray  # (n_regular_voxels, 24) intp corner dofs, grouped by phase
     voxel_bounds: np.ndarray  # (n_phase + 1,) phase p spans [bounds[p], bounds[p + 1])
+    majority: int  # phase m, the one with the most regular voxels
+    minority_dofs: np.ndarray  # (n_minority_voxels, 24) intp corner dofs, grouped by phase
+    dofs: Callable  # the layout's `dofs`, bound at build: the numbering of the indexes
     voxel_k: np.ndarray  # (n_phase, 24, 24)
     voxel_s: np.ndarray  # (n_phase, 6, 24)
     total_cv: np.ndarray  # (6, 6): sum of V_e <C>_e over all elements
@@ -437,6 +448,12 @@ class ElementCaches:
     @property
     def n_mi(self):
         return len(self.mi_ttype)
+
+    @cached_property
+    def voxel_dofs(self) -> np.ndarray:
+        """(n_regular_voxels, 24) intp corner dofs of every regular voxel,
+        grouped by phase, phase m's rows included."""
+        return _voxel_dofs(self.voxel_phase, np.arange(len(self.stiffness)), self.dofs)
 
     @cached_property
     def ptype(self) -> np.ndarray:
@@ -520,6 +537,27 @@ class ElementCaches:
         return vars(self)[name]
 
 
+def _voxel_dofs(voxel_phase, phases, dofs):
+    """(n, 24) intp flat dofs, numbered by `dofs`, of the 8 corners of the
+    regular voxels of `phases`, phase by phase, each phase's voxels in
+    ascending order.  Filled one corner at a time: column 3 * corner +
+    component holds that component's dof of the corner's node, the corners
+    in `CORNER_OFFSETS` order."""
+    vflat = voxel_phase.ravel()
+    ids = np.flatnonzero(np.isin(vflat, phases))
+    ids = ids[np.argsort(vflat[ids], kind="stable")]
+    voxels = np.stack(np.unravel_index(ids, voxel_phase.shape), axis=1)
+    # freed before the fill: the voxel order kept to the end of the build
+    # raised the peak RSS of a hashin N=128 build from 1189 to 1204 MB
+    del ids
+    out = np.empty((len(voxels), 24), dtype=np.intp)
+    for corner, offset in enumerate(CORNER_OFFSETS):
+        nodes = corner_nodes(voxels, offset[None], voxel_phase.shape)[:, 0]
+        for comp in range(3):
+            out[:, 3 * corner + comp] = dofs(nodes, comp)
+    return out
+
+
 def _elements(mask):
     """Tet types (m,) int8 and voxels (m, 3) of the elements set in `mask`
     (6, N1, N2, N3), in canonical (type, voxel) order."""
@@ -574,7 +612,7 @@ def _stiffness_gathers():
 _K_IDX, _K_W, _X_IDX, _X_W = _stiffness_gathers()
 
 
-def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet):
+def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet, c_shift=None):
     """Unscaled matrices of a chunk of cut elements of one sign pattern.
 
     `c_plus`/`c_minus` (m, 6, 6) are the stiffnesses on either side.  On
@@ -593,7 +631,9 @@ def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet):
     matrix B = `b_mat`, so with cv = sum_s |side s| C_s the load factor is
     Bfac = [B^T cv; g^T] and the first 12 columns of A are Bfac B.
     The tet data `grads` (m, 4, 3) and `b_mat` (m, 6, 12) are per element,
-    or shared by the chunk as (4, 3) and (6, 12).
+    or shared by the chunk as (4, 3) and (6, 12).  With `c_shift`, the
+    standard rows take cv - V c_shift in place of cv: the matrices less
+    those of a plain tet of stiffness `c_shift`.
     Returns a (m, 24, 24), bfac (m, 24, 6), cv (m, 6, 6) and the scaling
     integrals (m, 4, 3).
     """
@@ -634,7 +674,8 @@ def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet):
     d0 = 0.5 * (dm.sum(axis=-1, keepdims=True) + dm)
     cv = side_vol[:, 0, None, None] * c_plus + side_vol[:, 1, None, None] * c_minus
     bfac = np.empty((m, 24, 6))
-    bfac[:, :12] = (cv @ b_mat).transpose(0, 2, 1)
+    cv_std = cv if c_shift is None else cv - vol_tet * c_shift
+    bfac[:, :12] = (cv_std @ b_mat).transpose(0, 2, 1)
     bfac[:, 12:] = gt
     a = np.empty((m, 24, 24))
     a[:, :, :12] = bfac @ b_mat
@@ -656,12 +697,13 @@ def _cut_chunks(levels):
             yield code, sel[lo : lo + _CHUNK]
 
 
-def _cut_kernel(ttype, levels, phases, stiffness, grads, b_mats, vol_tet):
+def _cut_kernel(ttype, levels, phases, stiffness, grads, b_mats, vol_tet, c_shift=None):
     """(index, `_cut_matrices` output) per chunk of `_cut_chunks`, each
     element with the gradients and strain matrix of its tet type."""
     for code, ch in _cut_chunks(levels):
         t, cs = ttype[ch], (stiffness[phases[ch, 0]], stiffness[phases[ch, 1]])
-        yield ch, _cut_matrices(levels[ch], grads[t], b_mats[t], CUT_TEMPLATES[code], *cs, vol_tet)
+        tpl = CUT_TEMPLATES[code]
+        yield ch, _cut_matrices(levels[ch], grads[t], b_mats[t], tpl, *cs, vol_tet, c_shift)
 
 
 def _pair_entries(k):
@@ -676,23 +718,20 @@ def _pair_entries(k):
 class _SpecialSum:
     """The special operator, summed element chunk by chunk.
 
-    Built from the `DofLayout` ids (m, k) of every kind of special element
-    (`n_ids` ids in all), so that its blocks are known before any element
-    matrix is.  An element matrix is symmetric and its k nodes are
-    distinct, so only its node-pair blocks l <= l' are added, and a key
-    (I, I) comes from l = l' alone.  The sums are kept over these "half"
-    keys `hkeys` alone, as 9 planes, one per block entry (p, q), so that
-    each `np.add.at` works in one small array.  `operator` forms the full
-    block pattern once: block (I, J) is the half sum keyed (I, J) plus the
-    transpose of the one keyed (J, I).  The corner order of a tet is not
+    Built from the `DofLayout` ids (m, k) of every kind of special element,
+    and from `touched`, a mask over all ids of those it acts on, so that
+    its blocks are known before any element matrix is.  An element matrix
+    is symmetric and its k nodes are distinct, so only its node-pair blocks
+    l <= l' are added, and a key (I, I) comes from l = l' alone.  The sums
+    are kept over these "half" keys `hkeys` alone, as 9 planes, one per
+    block entry (p, q), so that each `np.add.at` works in one small array.
+    `operator` forms the full block pattern once: block (I, J) is the half
+    sum keyed (I, J) plus the transpose of the one keyed (J, I).  The corner order of a tet is not
     monotone in the ids, so a node pair may be keyed in both orientations,
     and then both sums meet in one block.
     """
 
-    def __init__(self, nodes, n_ids):
-        touched = np.zeros(n_ids, dtype=bool)
-        for n in nodes:
-            touched[n] = True
+    def __init__(self, nodes, touched):
         local_id = np.cumsum(touched) - 1
         self.touched = np.flatnonzero(touched)
         self.local = [local_id[n] for n in nodes]
@@ -795,12 +834,13 @@ def build_caches(
 ) -> ElementCaches:
     """Assemble the cell's operator: voxel stencils and the special operator.
 
-    Regular voxels get per-phase 24-dof stencils; the cut and fallback
-    ("special") elements and the plain tets of their voxels are summed into
-    one operator, see `ElementCaches`.  The operator's block pattern comes
-    from node ids alone, so it is set up first; the cut elements are then
-    assembled chunk by chunk and each chunk is added to the block sums
-    unscaled, before the next one is formed.  The internal scaling is a
+    Regular voxels get per-phase 24-dof stencils and the majority phase m;
+    the cut and fallback ("special") elements and the plain tets of their
+    voxels are summed, minus phase m's matrices, into one operator, see
+    `ElementCaches`.  The operator's block pattern comes from node ids
+    alone, so it is set up first; the cut elements are then assembled chunk
+    by chunk and each chunk is added to the block sums unscaled, before the
+    next one is formed.  The internal scaling is a
     per-dof factor, applied once to the summed operator.
     """
     grid = layout.grid
@@ -827,8 +867,17 @@ def build_caches(
 
     special_voxel = (region_map != -1).any(axis=0)
     voxel_phase = np.where(special_voxel, np.int8(-1), base)
+    n_voxels = np.bincount(voxel_phase[voxel_phase >= 0], minlength=n_phase)
+    voxel_bounds = np.concatenate([[0], np.cumsum(n_voxels)])
+    # A_m, the majority phase's operator on every voxel, is applied by FFT,
+    # so every other element here is summed minus phase m's matrices, and
+    # phase m's plain tets have nothing left to add
+    majority = int(np.argmax(n_voxels))
     plain_ttype, plain_voxel = _elements((region_map == -1) & special_voxel)
     plain_phase = base[tuple(plain_voxel.T)]
+    n_plain = np.bincount(plain_phase, minlength=n_phase)
+    keep = plain_phase != majority
+    plain_ttype, plain_voxel, plain_phase = plain_ttype[keep], plain_voxel[keep], plain_phase[keep]
     plain_nodes = corner_nodes(plain_voxel, topo.offsets[plain_ttype], nshape)
     mi_nodes = corner_nodes(mi_voxel, topo.offsets[mi_ttype], nshape)
 
@@ -849,17 +898,30 @@ def build_caches(
     claims = np.unique(cut_enr * len(nodal) + cut_region[:, None])
     conflict = np.bincount(claims // len(nodal), minlength=layout.n_x) > 1
 
-    # two kinds of special element: cut (8 ids) and fallback or plain (4)
+    # two kinds of special element: cut (8 ids) and fallback or plain (4);
+    # the operator acts on every corner of a special voxel and on every
+    # enriched slot, and a corner that only phase-m plain tets hold gets no
+    # block
     cut_ids = np.concatenate([cut_nodes, layout.enr_ids(cut_enr)], axis=1)
-    special = _SpecialSum([cut_ids, np.concatenate([mi_nodes, plain_nodes])], layout.n_ids)
-    del cut_ids, mi_nodes, plain_nodes
+    touched = np.zeros(layout.n_ids, dtype=bool)
+    touched[corner_nodes(np.argwhere(special_voxel), CORNER_OFFSETS, nshape)] = True
+    touched[layout.enr_ids(np.arange(layout.n_x))] = True
+    special = _SpecialSum([cut_ids, np.concatenate([mi_nodes, plain_nodes])], touched)
+    del cut_ids, mi_nodes, plain_nodes, touched
     cv_sum = np.zeros((6, 6))
+
+    # plain element matrices V B^T C B and load maps V B^T C per (tet, phase),
+    # and the same less phase m's, which every special tet gives up
+    plain_a = vol_tet * np.einsum("tci,pcd,tdj->tpij", b_mats, stiffness, b_mats)
+    plain_bfac = vol_tet * np.einsum("tci,pcd->tpid", b_mats, stiffness)
+    shifted_a = plain_a - plain_a[:, majority, None]
+    shifted_bfac = plain_bfac - plain_bfac[:, majority, None]
 
     # ---- cut elements: the unscaled matrices and the internal scaling
     # integrals, which need the same enriched gradients, one chunk at a time
     d0 = np.zeros((layout.n_x, 3))
     args = cut_ttype, cut_levels, cut_phases, stiffness
-    for ch, (a, bfac, cv, d0_e) in _cut_kernel(*args, grads, b_mats, vol_tet):
+    for ch, (a, bfac, cv, d0_e) in _cut_kernel(*args, grads, b_mats, vol_tet, stiffness[majority]):
         special.add(0, ch, a, bfac)
         cv_sum += cv.sum(axis=0)
         np.add.at(d0, cut_enr[ch], d0_e)
@@ -877,22 +939,17 @@ def build_caches(
     b = b_mats[mi_ttype]
     mi_a = vol_tet * np.einsum("mci,mcd,mdj->mij", b, cbar, b)
     mi_bfac = vol_tet * np.einsum("mci,mcd->mid", b, cbar)
-    special.add(1, slice(0, n_mi), mi_a, mi_bfac)
+    major = (mi_ttype, majority)
+    special.add(1, slice(0, n_mi), mi_a - plain_a[major], mi_bfac - plain_bfac[major])
     cv_sum += vol_tet * cbar.sum(axis=0)
 
-    # plain element matrices V B^T C B and load maps V B^T C per (tet, phase),
-    # summed over the six tets of a voxel into its 24-dof stencil K_p and
-    # stress map S_p (slot 3 * corner + component)
-    plain_a = vol_tet * np.einsum("tci,pcd,tdj->tpij", b_mats, stiffness, b_mats)
-    plain_bfac = vol_tet * np.einsum("tci,pcd->tpid", b_mats, stiffness)
     # plain tets in chunks after the fallback ones, so that their gathered
     # matrices stay small
     for lo in range(0, len(plain_ttype), 8 * _CHUNK):
         ch = slice(lo, lo + 8 * _CHUNK)
         t_ch, p_ch = plain_ttype[ch], plain_phase[ch]
         sel = slice(n_mi + lo, n_mi + lo + 8 * _CHUNK)
-        special.add(1, sel, plain_a[t_ch, p_ch], plain_bfac[t_ch, p_ch])
-    n_plain = np.bincount(plain_phase, minlength=n_phase)
+        special.add(1, sel, shifted_a[t_ch, p_ch], shifted_bfac[t_ch, p_ch])
     cv_sum += vol_tet * np.einsum("p,pcd->cd", n_plain, stiffness)
 
     # every enriched node belongs to a cut element, so every slot's id is touched
@@ -902,29 +959,17 @@ def build_caches(
     special_dofs = layout.dofs(special.touched[:, None], np.arange(3)).ravel()
     del special
 
+    # the plain matrices summed over the six tets of a voxel into its 24-dof
+    # stencil K_p and stress map S_p (slot 3 * corner + component)
     voxel_k = np.zeros((n_phase, 24, 24))
     voxel_s = np.zeros((n_phase, 6, 24))
     for t in range(6):
         slots = (3 * topo.corners[t][:, None] + np.arange(3)).ravel()
         voxel_k[:, slots[:, None], slots] += plain_a[t]
         voxel_s[:, :, slots] += plain_bfac[t].transpose(0, 2, 1)
-    vflat = voxel_phase.ravel()
-    voxel_order = np.argsort(vflat, kind="stable")[np.count_nonzero(vflat < 0) :]
-    voxel_bounds = np.searchsorted(vflat[voxel_order], np.arange(n_phase + 1))
-    # the 24 corner dofs of every regular voxel, in phase order, filled one
-    # corner at a time: column 3 * corner + component holds that component's
-    # dof of the corner's node, the corners in `CORNER_OFFSETS` order
-    voxels = np.stack(np.unravel_index(voxel_order, nshape), axis=1)
-    # freed before the fill: kept to the end of the build, it raised the
-    # peak RSS of a hashin N=128 build from 1189 to 1204 MB
-    del voxel_order
-    voxel_dofs = np.empty((len(voxels), 24), dtype=np.intp)
-    for corner, offset in enumerate(CORNER_OFFSETS):
-        nodes = corner_nodes(voxels, offset[None], nshape)[:, 0]
-        for comp in range(3):
-            voxel_dofs[:, 3 * corner + comp] = layout.dofs(nodes, comp)
-    n_regular = 6 * np.diff(voxel_bounds)
-    total_cv = vol_tet * np.einsum("p,pcd->cd", n_regular, stiffness) + cv_sum
+    minority = np.delete(np.arange(n_phase), majority)
+    minority_dofs = _voxel_dofs(voxel_phase, minority, layout.dofs)
+    total_cv = vol_tet * np.einsum("p,pcd->cd", 6 * n_voxels, stiffness) + cv_sum
 
     return ElementCaches(
         grid=grid,
@@ -935,8 +980,10 @@ def build_caches(
         tet_volume=vol_tet,
         base_phase=base,
         voxel_phase=voxel_phase,
-        voxel_dofs=voxel_dofs,
         voxel_bounds=voxel_bounds,
+        majority=majority,
+        minority_dofs=minority_dofs,
+        dofs=layout.dofs,
         voxel_k=voxel_k,
         voxel_s=voxel_s,
         total_cv=total_cv,

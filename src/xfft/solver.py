@@ -1,20 +1,28 @@
 """Matrix-free residual evaluation and the iterative solution schemes.
 
-The global force residual is assembled in two parts.  A voxel whose six
-tets are all regular (uncut single-phase) is one 24-dof stencil of its
-phase.  A flat index built with the caches lists the 24 corner dofs of
-every such voxel, grouped by phase.  The sweep takes its rows in blocks of
-at most `SWEEP_ROWS`, so that its temporaries stay bounded at any grid
-size: each block gathers its corner displacements with one fancy index,
-applies one 24x24 matrix per phase to that phase's rows in the block and
-adds the corner forces into one force vector in index order, so the force
-is bitwise the same for any block size (the stress is summed per block).
+The global force residual is assembled in three parts.  The majority
+phase m, the phase with the most regular voxels, is applied on every voxel
+as a periodic convolution: A_m u by `rfftn`, plane products with its real
+symbol and `irfftn`.  A translation has no strain, so A_m adds neither
+load nor stress.  A voxel whose six tets are all regular (uncut
+single-phase) and whose phase p is not m is one 24-dof stencil K_p - K_m,
+with the stress map S_p - S_m.  A flat index built with the caches lists
+the 24 corner dofs of every such voxel, grouped by phase.  The sweep takes
+its rows in blocks of at most `SWEEP_ROWS` regular voxels, so that its
+temporaries stay bounded at any grid size: each block gathers its corner
+displacements with one fancy index, applies one 24x24 matrix per phase to
+that phase's rows in the block and adds the corner forces into one force
+vector in index order, so the force is bitwise the same for any block size
+(the stress is summed per block); A_m u is added once, after the blocks.
 The cut and fallback ("special") elements, together with the plain tets
-of their voxels, were summed at build time into one block-sparse operator
-on the dofs they touch, so they add their forces with one sparse product
-on the flat dof vector.  The same sweep accumulates the volume-integrated
-stress, so each solver iteration costs one sweep plus one FFT
-preconditioner application.
+of their voxels, each minus phase m's matrices on its tet, were summed at
+build time into one block-sparse operator on the dofs they touch, so they
+add their forces with one sparse product on the flat dof vector.  The same
+sweep accumulates the volume-integrated stress, so each solver iteration
+costs one sweep plus one FFT preconditioner application.  lcg and ncg
+carry A_m d beside their search direction d: the preconditioner returns
+A_m z from the spectrum it already holds, and their sweep of d transforms
+nothing.
 
 Sign convention: the residual is the gradient of the discrete energy,
 r(u) = sum_e L_e^T (A_e u_e + Bfac_e eps_bar), i.e. the internal force of
@@ -56,7 +64,7 @@ SIGMA_NORM_FLOOR = 1e-300
 
 INT8_MAX = 127
 
-# rows of `voxel_dofs` that one sweep block gathers: it bounds the sweep's
+# rows of `voxel_dofs` that one sweep block spans: it bounds the sweep's
 # gathered corner displacements and forces to 3.1 MB each at any grid size
 # (one block over all regular voxels held 2 x 403 MB at N=128); the
 # benchmark's grids, at most 11,690 regular voxels, fit in one block
@@ -138,16 +146,23 @@ class System:
         self.caches = caches
         self.symbol = symbol
         self.c_minus, self.c_plus = stiffness_bounds(list(caches.stiffness))
-        # the sweep's row blocks: their rows and each phase's rows within them
-        idx, bounds = caches.voxel_dofs, caches.voxel_bounds
+        # the sweep's row blocks over every regular voxel (the rows of
+        # `voxel_dofs`): their rows and each phase's rows within them
+        bounds = caches.voxel_bounds
         self._sweep_blocks = []
-        for b0 in range(0, max(len(idx), 1), SWEEP_ROWS):
-            b1 = min(b0 + SWEEP_ROWS, len(idx))
+        for b0 in range(0, max(bounds[-1], 1), SWEEP_ROWS):
+            b1 = min(b0 + SWEEP_ROWS, bounds[-1])
             local = np.clip(bounds, b0, b1) - b0
             phase_rows = [slice(lo, hi) for lo, hi in zip(local[:-1], local[1:])]
             self._sweep_blocks.append((slice(b0, b1), phase_rows))
+        # the sweep skips phase m: its rows are not in `minority_dofs`, and
+        # the other phases apply their difference to phase m's matrices
+        m = caches.majority
+        self._m_rows = bounds[m], bounds[m + 1] - bounds[m]
+        self._voxel_k = caches.voxel_k - caches.voxel_k[m]
+        self._voxel_s = caches.voxel_s - caches.voxel_s[m]
         # summing a phase's rows as ones @ rows is one BLAS call
-        self._ones = np.ones(min(len(idx), SWEEP_ROWS))
+        self._ones = np.ones(min(len(caches.minority_dofs), SWEEP_ROWS))
 
     def zeros(self) -> DofVector:
         return DofVector.zeros(self.layout)
@@ -171,41 +186,68 @@ class System:
         idx = self._tet_dofs(t).ravel()
         acc += np.bincount(idx, fe.ravel(), minlength=acc.size).reshape(acc.shape)
 
-    def _sweep(self, u: DofVector, eps_bar):
-        """One pass over the regular voxels plus the special-element operator.
+    def _sweep(self, u: DofVector, eps_bar, majority_force=None):
+        """One pass over the minority voxels, A_m u and the special operator.
 
-        The regular voxels' rows of `voxel_dofs` are taken in blocks of at
-        most `SWEEP_ROWS` rows.  Each block gathers its corner dofs, applies
-        each phase's 24x24 stencil to that phase's rows in the block, adds
-        their stress (summed per block) and adds its corner forces into one
-        vector, with `np.bincount` for the first block and `np.add.at` after
-        it: both add in index order, so the force is bitwise the same for
-        any block size.  The special operator follows.
+        The regular voxels are taken in the row blocks of `_sweep_blocks`,
+        and phase m's rows are skipped.  Each block gathers its other rows'
+        corner dofs through `minority_dofs`, applies each phase's K_p - K_m
+        to that phase's rows in the block, adds their stress (summed per
+        block) and adds its corner forces into one vector, with
+        `np.bincount` for the first block and `np.add.at` after it: both add
+        in index order, so the force is bitwise the same for any block
+        size (a phase's single row in a block is multiplied as two rows).
+        A_m u follows, transformed from u unless the caller holds it
+        and passes its grid part (N1, N2, N3, 3) as `majority_force`; then
+        the special operator.  A load is formed only if `eps_bar` is not 0.
         Returns (force residual, volume-integrated stress (6,)).
         """
         c = self.caches
         eps_bar = np.asarray(eps_bar, dtype=float)
         loaded = eps_bar.any()
         sig_total = c.total_cv @ eps_bar
+        m, (lo_m, n_m) = c.majority, self._m_rows
         force = None
         for rows, phase_rows in self._sweep_blocks:
-            idx = c.voxel_dofs[rows]
+            # phase m's rows are not in `minority_dofs`: the block's rows sit
+            # there as many rows up as phase m has before them
+            before = min(max(rows.start - lo_m, 0), n_m)
+            within = phase_rows[m].stop - phase_rows[m].start
+            if rows.stop - rows.start == within:
+                continue
+            idx = c.minority_dofs[rows.start - before : rows.stop - before - within]
             ue = u.data[idx]
             fe = np.empty_like(ue)
             for p, prow in enumerate(phase_rows):
-                sig_total += c.voxel_s[p] @ (self._ones[: prow.stop - prow.start] @ ue[prow])
-                np.matmul(ue[prow], c.voxel_k[p].T, out=fe[prow])
+                if p == m:
+                    continue
+                if p > m:
+                    prow = slice(prow.start - within, prow.stop - within)
+                sig_total += self._voxel_s[p] @ (self._ones[: prow.stop - prow.start] @ ue[prow])
+                if prow.stop - prow.start == 1:
+                    # numpy forms a one-row product by gemv, which sums in
+                    # another order than the gemm of two rows or more
+                    fe[prow] = (np.repeat(ue[prow], 2, axis=0) @ self._voxel_k[p].T)[:1]
+                else:
+                    np.matmul(ue[prow], self._voxel_k[p].T, out=fe[prow])
                 if loaded:
-                    fe[prow] += eps_bar @ c.voxel_s[p]
+                    fe[prow] += eps_bar @ self._voxel_s[p]
             if force is None:
                 force = np.bincount(idx.ravel(), fe.ravel(), minlength=u.data.size)
             else:
                 np.add.at(force, idx.ravel(), fe.ravel())
 
+        r = u.like(np.zeros(u.data.size) if force is None else force)
+        if majority_force is None:
+            majority_force = greenop.apply_operator(self.symbol, u.grid)
+        r.grid += majority_force
+        del majority_force  # a transform of u made here is freed before the special product
         us = u.data[c.special_dofs]
         sig_total += us @ c.special_load
-        r = u.like(force)
-        r.data[c.special_dofs] += c.special_k @ us + c.special_load @ eps_bar
+        fs = c.special_k @ us
+        if loaded:
+            fs += c.special_load @ eps_bar
+        r.data[c.special_dofs] += fs
         return r, sig_total
 
     # -- operations --------------------------------------------------------
@@ -222,14 +264,20 @@ class System:
         """Cell-averaged stress <sigma> = (1/|Y|) sum_e (S_e u_e + V_e <C>_e eps_bar)."""
         return self._sweep(u, eps_bar)[1] / self.grid.volume
 
-    def precondition(self, f: DofVector) -> DofVector:
-        """Block preconditioner: Green inverse on the grid, identity on enriched."""
+    def precondition(self, f: DofVector, with_majority: bool = False):
+        """Block preconditioner: Green inverse on the grid, identity on enriched.
+
+        With `with_majority`, returns (z, A_m z's grid part), both from one
+        forward transform.
+        """
         # the grid part first, so that its temporaries are gone before z
-        z_grid = greenop.apply_preconditioner(self.symbol, f.grid)
+        z_grid = greenop.apply_preconditioner(self.symbol, f.grid, with_majority)
+        if with_majority:
+            z_grid, z_major = z_grid
         z = f.like(np.empty_like(f.data))
         z.grid[:] = z_grid
         z.enr[:] = f.enr
-        return z
+        return (z, z_major) if with_majority else z
 
     def res_norm(self, f: DofVector, z: DofVector | None = None) -> float:
         """Preconditioned residual norm sqrt(f^T P^-1 f)."""
@@ -284,7 +332,7 @@ def build_system(assembly, grid: Grid, materials, mode: str = "xfem") -> System:
     # in p1 mode no interface cuts an element
     layout = detect_enrichment(nodal if mode == "xfem" else nodal[:0], topo, grid)
     caches = build_caches(assembly, topo, layout, nodal, stiffness)
-    symbol = greenop.build_symbol(grid, topo)
+    symbol = greenop.build_symbol(grid, topo, stiffness[caches.majority])
     return System(layout, caches, symbol)
 
 
@@ -313,11 +361,13 @@ class _Run:
         self.history = []
         self.energies = []
 
-    def evaluate(self, u: DofVector):
-        """(f, sigma, z, res) at u: residual, average stress, P^-1 f, |f|_P."""
+    def evaluate(self, u: DofVector, with_majority: bool = False):
+        """(f, sigma, z, res) at u: residual, average stress, P^-1 f, |f|_P.
+        With `with_majority`, z is the pair `System.precondition` returns."""
         f, sig_int = self.system._sweep(u, self.eps_bar)
-        z = self.system.precondition(f)
-        return f, sig_int / self.system.grid.volume, z, self.system.res_norm(f, z)
+        z = self.system.precondition(f, with_majority)
+        res = self.system.res_norm(f, z[0] if with_majority else z)
+        return f, sig_int / self.system.grid.volume, z, res
 
     def _measure(self, res_raw, sigma):
         """(res, res / |<sigma>|, whether res meets the stopping criterion)."""
@@ -359,16 +409,17 @@ def run_lcg(system: System, config: SolverConfig, eps_bar) -> SolveResult:
     run = _Run(system, config, eps_bar)
     vol = system.grid.volume
     u = system.zeros()
-    f, sigma, z, res = run.evaluate(u)
+    f, sigma, (z, zm), res = run.evaluate(u, with_majority=True)
     # u.b for the load b = r(0) follows from the stress: vol eps_bar.(<sigma> - <C> eps_bar)
     sigma0 = system.caches.total_cv @ run.eps_bar / vol
-    d = z.scaled(-1.0)
-    del z
+    # d and dm = A_m d, carried by linearity, so that the sweep of d needs no transform
+    d, dm = z.scaled(-1.0), -zm
+    del z, zm
     while True:
         run.energies.append(0.5 * (u.dot(f) + vol * (run.eps_bar @ (sigma - sigma0))))
         if run.stop(res, sigma):
             return run.finish(u, sigma, res)
-        w, dsig_int = system._sweep(d, ZERO6)
+        w, dsig_int = system._sweep(d, ZERO6, dm)
         dw = d.dot(w)
         if dw <= 0.0:
             raise RuntimeError(
@@ -377,13 +428,17 @@ def run_lcg(system: System, config: SolverConfig, eps_bar) -> SolveResult:
         alpha = res**2 / dw
         u.axpy(alpha, d)
         f.axpy(alpha, w)
+        # dropped before the next sweep forms its own
+        del w
         sigma = sigma + (alpha / vol) * dsig_int
-        z = system.precondition(f)
+        z, zm = system.precondition(f, with_majority=True)
         res_sq_new = f.dot(z)
         beta = res_sq_new / res**2
         d.data *= beta
         d.data -= z.data
-        del z
+        dm *= beta
+        dm -= zm
+        del z, zm
         res = float(np.sqrt(max(res_sq_new, 0.0)))
 
 
@@ -439,26 +494,30 @@ def run_ncg(system: System, config: SolverConfig, eps_bar):
     run = _Run(system, config, eps_bar)
     vol = system.grid.volume
     u = system.zeros()
-    f, sigma, z, res = run.evaluate(u)
-    d = z.scaled(-1.0)
-    del z
+    f, sigma, (z, zm), res = run.evaluate(u, with_majority=True)
+    # d and dm = A_m d, as in `run_lcg`
+    d, dm = z.scaled(-1.0), -zm
+    del z, zm
     while not run.stop(res, sigma):
-        w, dsig_int = system._sweep(d, ZERO6)
+        w, dsig_int = system._sweep(d, ZERO6, dm)
         dw = d.dot(w)
         if dw <= 0.0:
             raise RuntimeError("non-positive curvature in line search")
         alpha = -f.dot(d) / dw
         u.axpy(alpha, d)
         f.axpy(alpha, w)
+        del w
         sigma = sigma + (alpha / vol) * dsig_int
-        z = system.precondition(f)
+        z, zm = system.precondition(f, with_majority=True)
         res_new = system.res_norm(f, z)
         beta = res_new**2 / res**2
         d.data *= beta
         d.data -= z.data
+        dm *= beta
+        dm -= zm
         if f.dot(d) >= 0.0:
-            d = z.scaled(-1.0)
-        del z
+            d, dm = z.scaled(-1.0), -zm
+        del z, zm
         res = res_new
     return run.finish(u, sigma, res)
 

@@ -614,3 +614,89 @@ def test_quadrature_set_equal_with_and_without_stored_record(two_spheres_n8):
     stored.caches.cut_qp, stored.caches.mi_qp  # computed right after the build, and kept
     for got, want in zip(quadrature_set(lazy), quadrature_set(stored)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", ["p1", "xfem"])
+def test_majority_split_matches_dense_assembly(monkeypatch, mode):
+    # the background phase 1 holds most regular voxels, and each sphere
+    # holds whole voxels of phase 0 or 2: the sweep applies phase 1 on every
+    # voxel by FFT and the rows of phases 0 and 2 as differences to it, in
+    # one block or in 11-row blocks that hold rows on both sides of phase 1's
+    assembly = PhaseAssembly(
+        [
+            Region(Sphere((5.0, 5.0, 5.0), 3.5), 0, 1),
+            Region(Sphere((11.0, 11.0, 11.0), 3.5), 2, 1),
+        ],
+        1,
+    )
+    mats = [MaterialIso(10.0, 0.3), MaterialIso(1.0, 0.25), MaterialIso(1.0 / 3.0, 0.2)]
+    system = build_system(assembly, Grid((8, 8, 8), (16.0,) * 3), mats, mode=mode)
+    c = system.caches
+    n_voxels = np.diff(c.voxel_bounds)
+    assert c.majority == 1 and n_voxels[1] > max(n_voxels[0], n_voxels[2])
+    assert n_voxels[0] > 0 and n_voxels[2] > 0 and (c.n_cut > 0) == (mode == "xfem")
+    # the sweep's index holds the rows of phases 0 and 2 alone
+    b = c.voxel_bounds
+    assert np.array_equal(c.minority_dofs, c.voxel_dofs[np.r_[b[0] : b[1], b[2] : b[3]]])
+    monkeypatch.setattr(solver, "SWEEP_ROWS", 11)
+    blocked = System(system.layout, c, system.symbol)
+    assert any(r.start < b[1] < r.stop for r, _ in blocked._sweep_blocks)
+    assert any(r.start < b[2] < r.stop for r, _ in blocked._sweep_blocks)
+    a, bmat = dense_system(system, assembly)
+    rng = np.random.default_rng(23)
+    for _ in range(2):
+        u = system.zeros()
+        u.data[:] = rng.standard_normal(u.data.shape)
+        eps = rng.standard_normal(6)
+        r_dense = a @ flatten_dofs(u) + bmat @ eps
+        r = system.residual(u, eps)
+        assert np.allclose(flatten_dofs(r), r_dense, rtol=1e-12, atol=1e-12 * np.abs(r_dense).max())
+        assert np.array_equal(blocked.residual(u, eps).data, r.data)
+        expect = (bmat.T @ flatten_dofs(u) + c.total_cv @ eps) / system.grid.volume
+        for sigma in (system.average_stress(u, eps), blocked.average_stress(u, eps)):
+            assert np.allclose(sigma, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+
+
+@pytest.mark.parametrize("scheme", ["lcg", "ncg"])
+def test_carried_majority_force_matches_fresh_transforms(monkeypatch, two_spheres_n8, scheme):
+    # lcg and ncg carry dm = A_m d by linearity and hand it to the sweep of
+    # d; a sweep that ignores it transforms d afresh, and the solve must
+    # agree to round-off.  On these cells CG loses orthogonality after ~17
+    # iterations, and from there a 1e-16 relative change of one sweep grows
+    # ~30x per iteration whatever its source, so the solves stop at tol
+    # 1e-5 (11 to 19 iterations), before that
+    sweep = System._sweep
+    carried_calls = []
+
+    def counted(self, u, eps_bar, majority_force=None):
+        carried_calls.append(majority_force is not None)
+        return sweep(self, u, eps_bar, majority_force)
+
+    def fresh(self, u, eps_bar, majority_force=None):
+        return sweep(self, u, eps_bar)
+
+    config = SolverConfig(scheme, 1e-5, 500)
+    for system in (hashin_system(8)[0], two_spheres_n8[0]):
+        for eps in (EPS_HYDRO, np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])):
+            carried_calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(System, "_sweep", counted)
+                got = run_scheme(system, config, eps)
+                # the start and the verified residual transform u
+                assert carried_calls == [False] + [True] * got.iterations + [False]
+                patch.setattr(System, "_sweep", fresh)
+                want = run_scheme(system, config, eps)
+            assert got.converged and got.iterations == want.iterations
+            rows = np.array([row[1:3] for row in got.history])
+            assert np.allclose(rows, [row[1:3] for row in want.history], rtol=1e-10, atol=0.0)
+            assert np.abs(got.sigma - want.sigma).max() <= 1e-12 * np.abs(want.sigma).max()
+
+
+def test_homogeneous_cell_has_no_sweep_rows_and_rests_at_exactly_zero(homog_n4):
+    # the one phase is the majority phase: A_m alone is the operator, and
+    # it carries no load
+    c = homog_n4.caches
+    assert c.majority == 0 and len(c.voxel_dofs) == 64
+    assert len(c.minority_dofs) == 0 and len(c.special_dofs) == 0
+    r = homog_n4.residual(homog_n4.zeros(), EPS_HYDRO)
+    assert not r.data.any()

@@ -10,9 +10,12 @@ child builds the hashin cell (`homogenize.hashin_system`), solves the
 hydrostatic load case with lcg at tol 1e-7, and then times 10 `_sweep`
 calls and 10 `precondition` calls at the solution.  The output holds per
 N: build and solve seconds, the iteration count, the median sweep and
-preconditioner milliseconds, `ElementCaches.nbytes`, the peak RSS (MiB,
-`ru_maxrss`) after the build and after the solve, the thread counts in
-effect, the madvise setting and the git commit.
+preconditioner milliseconds, `ElementCaches.nbytes`, the majority phase
+(applied by FFT), the regular voxel rows the sweep still gathers (those of
+the other phases), the bytes of the Green symbol and of the majority
+phase's symbol, the peak RSS (MiB, `ru_maxrss`) after the build and after
+the solve, the thread counts in effect, the madvise setting and the git
+commit.
 """
 
 import argparse
@@ -91,6 +94,10 @@ def child(n):
         "sweep_ms": median_ms(lambda: system._sweep(res.u, eps)),
         "precondition_ms": median_ms(lambda: system.precondition(f)),
         "cache_bytes": system.caches.nbytes,
+        "majority_phase": system.caches.majority,
+        "swept_rows": len(system.caches.minority_dofs),
+        "green_symbol_bytes": system.symbol.ghat.nbytes,
+        "majority_symbol_bytes": system.symbol.ahat.nbytes,
         "maxrss_build_mib": rss_build,
         "maxrss_solve_mib": rss_solve,
         "openblas_threads": openblas_threads(),
