@@ -372,10 +372,11 @@ class ElementCaches:
     every regular voxel, phase p in rows `voxel_bounds[p]:voxel_bounds[p + 1]`.
 
     The special elements and the regular ("plain") tets of the voxels with
-    `voxel_phase` -1 are summed once, each minus phase m's matrices on its
-    tet, into one operator on the flat dof vector, so phase m's plain tets
-    drop out: `special_dofs` lists the dofs of the corners of these voxels
-    and of the enriched slots, three per id in ascending id order,
+    `voxel_phase` -1 are summed once, each minus phase m's plain matrices
+    on its tet's 12 grid dofs (one subtraction for every kind of special
+    element), into one operator on the flat dof vector, so phase m's plain
+    tets drop out: `special_dofs` lists the dofs of the corners of these
+    voxels and of the enriched slots, three per id in ascending id order,
     `special_k` is the summed stiffness over those dofs (block-sparse, 3x3
     blocks; its pattern holds the node pairs that share a special element
     or a plain tet of another phase, in both orientations, though the build
@@ -612,7 +613,7 @@ def _stiffness_gathers():
 _K_IDX, _K_W, _X_IDX, _X_W = _stiffness_gathers()
 
 
-def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet, c_shift=None):
+def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet):
     """Unscaled matrices of a chunk of cut elements of one sign pattern.
 
     `c_plus`/`c_minus` (m, 6, 6) are the stiffnesses on either side.  On
@@ -631,9 +632,7 @@ def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet, c_sh
     matrix B = `b_mat`, so with cv = sum_s |side s| C_s the load factor is
     Bfac = [B^T cv; g^T] and the first 12 columns of A are Bfac B.
     The tet data `grads` (m, 4, 3) and `b_mat` (m, 6, 12) are per element,
-    or shared by the chunk as (4, 3) and (6, 12).  With `c_shift`, the
-    standard rows take cv - V c_shift in place of cv: the matrices less
-    those of a plain tet of stiffness `c_shift`.
+    or shared by the chunk as (4, 3) and (6, 12).
     Returns a (m, 24, 24), bfac (m, 24, 6), cv (m, 6, 6) and the scaling
     integrals (m, 4, 3).
     """
@@ -674,8 +673,7 @@ def _cut_matrices(levels, grads, b_mat, template, c_plus, c_minus, vol_tet, c_sh
     d0 = 0.5 * (dm.sum(axis=-1, keepdims=True) + dm)
     cv = side_vol[:, 0, None, None] * c_plus + side_vol[:, 1, None, None] * c_minus
     bfac = np.empty((m, 24, 6))
-    cv_std = cv if c_shift is None else cv - vol_tet * c_shift
-    bfac[:, :12] = (cv_std @ b_mat).transpose(0, 2, 1)
+    bfac[:, :12] = (cv @ b_mat).transpose(0, 2, 1)
     bfac[:, 12:] = gt
     a = np.empty((m, 24, 24))
     a[:, :, :12] = bfac @ b_mat
@@ -697,13 +695,12 @@ def _cut_chunks(levels):
             yield code, sel[lo : lo + _CHUNK]
 
 
-def _cut_kernel(ttype, levels, phases, stiffness, grads, b_mats, vol_tet, c_shift=None):
+def _cut_kernel(ttype, levels, phases, stiffness, grads, b_mats, vol_tet):
     """(index, `_cut_matrices` output) per chunk of `_cut_chunks`, each
     element with the gradients and strain matrix of its tet type."""
     for code, ch in _cut_chunks(levels):
         t, cs = ttype[ch], (stiffness[phases[ch, 0]], stiffness[phases[ch, 1]])
-        tpl = CUT_TEMPLATES[code]
-        yield ch, _cut_matrices(levels[ch], grads[t], b_mats[t], tpl, *cs, vol_tet, c_shift)
+        yield ch, _cut_matrices(levels[ch], grads[t], b_mats[t], CUT_TEMPLATES[code], *cs, vol_tet)
 
 
 def _pair_entries(k):
@@ -836,12 +833,13 @@ def build_caches(
 
     Regular voxels get per-phase 24-dof stencils and the majority phase m;
     the cut and fallback ("special") elements and the plain tets of their
-    voxels are summed, minus phase m's matrices, into one operator, see
-    `ElementCaches`.  The operator's block pattern comes from node ids
-    alone, so it is set up first; the cut elements are then assembled chunk
-    by chunk and each chunk is added to the block sums unscaled, before the
-    next one is formed.  The internal scaling is a
-    per-dof factor, applied once to the summed operator.
+    voxels are summed into one operator, see `ElementCaches`, each less
+    phase m's plain tet on its 12 grid dofs in one place, `add_less_m`.
+    The operator's block pattern comes from node ids alone, so it is set
+    up first; the cut elements are then assembled chunk by chunk and each
+    chunk is added to the block sums unscaled, before the next one is
+    formed.  The internal scaling is a per-dof factor, applied once to the
+    summed operator.
     """
     grid = layout.grid
     stiffness = np.asarray(stiffness, dtype=float)
@@ -910,19 +908,22 @@ def build_caches(
     del cut_ids, mi_nodes, plain_nodes, touched
     cv_sum = np.zeros((6, 6))
 
-    # plain element matrices V B^T C B and load maps V B^T C per (tet, phase),
-    # and the same less phase m's, which every special tet gives up
+    # plain element matrices V B^T C B and load maps V B^T C per (tet, phase)
     plain_a = vol_tet * np.einsum("tci,pcd,tdj->tpij", b_mats, stiffness, b_mats)
     plain_bfac = vol_tet * np.einsum("tci,pcd->tpid", b_mats, stiffness)
-    shifted_a = plain_a - plain_a[:, majority, None]
-    shifted_bfac = plain_bfac - plain_bfac[:, majority, None]
+
+    def add_less_m(kind, sel, ttype, a, bfac):
+        """Add elements less phase m's plain tets `ttype`; overwrites a, bfac."""
+        a[:, :12, :12] -= plain_a[ttype, majority]
+        bfac[:, :12] -= plain_bfac[ttype, majority]
+        special.add(kind, sel, a, bfac)
 
     # ---- cut elements: the unscaled matrices and the internal scaling
     # integrals, which need the same enriched gradients, one chunk at a time
     d0 = np.zeros((layout.n_x, 3))
     args = cut_ttype, cut_levels, cut_phases, stiffness
-    for ch, (a, bfac, cv, d0_e) in _cut_kernel(*args, grads, b_mats, vol_tet, stiffness[majority]):
-        special.add(0, ch, a, bfac)
+    for ch, (a, bfac, cv, d0_e) in _cut_kernel(*args, grads, b_mats, vol_tet):
+        add_less_m(0, ch, cut_ttype[ch], a, bfac)
         cv_sum += cv.sum(axis=0)
         np.add.at(d0, cut_enr[ch], d0_e)
 
@@ -939,8 +940,7 @@ def build_caches(
     b = b_mats[mi_ttype]
     mi_a = vol_tet * np.einsum("mci,mcd,mdj->mij", b, cbar, b)
     mi_bfac = vol_tet * np.einsum("mci,mcd->mid", b, cbar)
-    major = (mi_ttype, majority)
-    special.add(1, slice(0, n_mi), mi_a - plain_a[major], mi_bfac - plain_bfac[major])
+    add_less_m(1, slice(0, n_mi), mi_ttype, mi_a.copy(), mi_bfac.copy())
     cv_sum += vol_tet * cbar.sum(axis=0)
 
     # plain tets in chunks after the fallback ones, so that their gathered
@@ -949,7 +949,7 @@ def build_caches(
         ch = slice(lo, lo + 8 * _CHUNK)
         t_ch, p_ch = plain_ttype[ch], plain_phase[ch]
         sel = slice(n_mi + lo, n_mi + lo + 8 * _CHUNK)
-        special.add(1, sel, shifted_a[t_ch, p_ch], shifted_bfac[t_ch, p_ch])
+        add_less_m(1, sel, t_ch, plain_a[t_ch, p_ch], plain_bfac[t_ch, p_ch])
     cv_sum += vol_tet * np.einsum("p,pcd->cd", n_plain, stiffness)
 
     # every enriched node belongs to a cut element, so every slot's id is touched

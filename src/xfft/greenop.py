@@ -8,8 +8,9 @@ stiffness on every voxel, is a periodic convolution with a 27-neighbor
 3x3-matrix stencil; its Fourier symbol is real and symmetric.  The unit
 symbol is inverted frequency by frequency and cached, and so is the symbol
 of the majority phase's operator A_m, which the sweep applies on every
-voxel.  The stencils are assembled from the actual element matrices, so
-symbols and element residual agree to round-off by construction.
+voxel: both as six planes, applied by one product routine.  The stencils
+are assembled from the actual element matrices, so symbols and element
+residual agree to round-off by construction.
 
 Transforms use the real-to-complex half-spectrum layout; the zero
 frequency of the inverse symbol is set to zero, which projects the output
@@ -60,25 +61,33 @@ def unit_stencil(grid: Grid, topo: ElementTopology, stiffness=None) -> dict:
     return stencil
 
 
+# plane of entry (i, j) of a real symmetric 3x3 symbol: 00, 01, 02, 11, 12, 22
+_PLANE = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
+
+
 @dataclass
 class GreenSymbol:
     """Half-spectrum symbols of two constant-coefficient operators.
 
-    `ghat` (N1, N2, N3//2+1, 3, 3) is the real symmetric inverse of the
-    unit-coefficient symbol, an entry-major view: each `ghat[..., i, j]` is
-    one contiguous plane over the frequencies.  `ahat` (6, N1, N2,
-    N3//2+1) holds the six distinct planes of the real symmetric symbol of
-    A_m, the operator of the majority phase's stiffness on every voxel: the
-    entries 00, 01, 02, 11, 12 and 22.
+    Both are real symmetric and stored as their six distinct planes
+    (6, N1, N2, N3//2+1), entry (i, j) in plane `_PLANE[i][j]`.
+    `gplanes` is the inverse of the unit-coefficient symbol; `ahat` is the
+    symbol of A_m, the operator of the majority phase's stiffness on every
+    voxel.
     """
 
     grid: Grid
-    ghat: np.ndarray
+    gplanes: np.ndarray
     ahat: np.ndarray
+
+    @property
+    def ghat(self) -> np.ndarray:
+        """A copy (N1, N2, N3//2+1, 3, 3) of the inverse unit symbol."""
+        return self.gplanes[np.array(_PLANE)].transpose(2, 3, 4, 0, 1)
 
 
 def _symbol_planes(grid: Grid, topo: ElementTopology, stiffness) -> np.ndarray:
-    """(6, N1 N2 (N3//2+1)) upper-triangle planes of the operator's symbol.
+    """(6, N1, N2, N3//2+1) upper-triangle planes of the operator's symbol.
 
     Every stencil block is symmetric and equals the block at the opposite
     offset (the Kuhn voxel is symmetric about its centre), so the symbol
@@ -101,29 +110,28 @@ def _symbol_planes(grid: Grid, topo: ElementTopology, stiffness) -> np.ndarray:
     part = np.einsum("jb,qabk->qajk", e2, part).reshape(6, 3, n2 * nh)
     planes = e1.real @ part.real
     planes -= e1.imag @ part.imag
-    return planes.reshape(6, -1)
+    return planes.reshape(6, n1, n2, nh)
 
 
 def build_symbol(grid: Grid, topo: ElementTopology, stiffness=None) -> GreenSymbol:
     """Fourier-diagonalize and invert the constant-coefficient operator.
 
     Each frequency's 3x3 block of the unit symbol is inverted in closed
-    form.  `ahat` is the symbol of the operator with `stiffness`, the
-    majority phase's (the Mandel identity unless given).
+    form, its adjugate's six planes over its determinant.  `ahat` is the
+    symbol of the operator with `stiffness`, the majority phase's (the
+    Mandel identity unless given).
     """
-    n1, n2, n3 = grid.n
-    nh = n3 // 2 + 1
     unit = _symbol_planes(grid, topo, None)
-    unit[:, 0] = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0]  # placeholder; zero frequency is zeroed below
+    unit[:, 0, 0, 0] = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0]  # placeholder; zeroed below
     a00, a01, a02, a11, a12, a22 = unit
-    cof = np.empty((3, 3) + a00.shape)
-    cof[0, 0] = a11 * a22 - a12 * a12
-    cof[0, 1] = cof[1, 0] = a02 * a12 - a01 * a22
-    cof[0, 2] = cof[2, 0] = a01 * a12 - a02 * a11
-    cof[1, 1] = a00 * a22 - a02 * a02
-    cof[1, 2] = cof[2, 1] = a01 * a02 - a00 * a12
-    cof[2, 2] = a00 * a11 - a01 * a01
-    det = a00 * cof[0, 0] + a01 * cof[0, 1] + a02 * cof[0, 2]
+    cof = np.empty_like(unit)  # the six planes of the adjugate
+    cof[0] = a11 * a22 - a12 * a12
+    cof[1] = a02 * a12 - a01 * a22
+    cof[2] = a01 * a12 - a02 * a11
+    cof[3] = a00 * a22 - a02 * a02
+    cof[4] = a01 * a02 - a00 * a12
+    cof[5] = a00 * a11 - a01 * a01
+    det = a00 * cof[0] + a01 * cof[1] + a02 * cof[2]
     ref = np.abs(unit).max()
     if np.any(np.abs(det) < 1e-12 * ref**3):
         raise RuntimeError(
@@ -131,12 +139,11 @@ def build_symbol(grid: Grid, topo: ElementTopology, stiffness=None) -> GreenSymb
             "the operator must be coercive on mean-free fields"
         )
     cof /= det
-    cof[:, :, 0] = 0.0
-    ghat = cof.reshape(3, 3, n1, n2, nh).transpose(2, 3, 4, 0, 1)
+    cof[:, 0, 0, 0] = 0.0
     del unit, a00, a01, a02, a11, a12, a22, det
     ahat = _symbol_planes(grid, topo, stiffness)
-    ahat[:, 0] = 0.0
-    return GreenSymbol(grid=grid, ghat=ghat, ahat=ahat.reshape(6, n1, n2, nh))
+    ahat[:, 0, 0, 0] = 0.0
+    return GreenSymbol(grid=grid, gplanes=cof, ahat=ahat)
 
 
 def _forward(v_grid):
@@ -147,21 +154,14 @@ def _forward(v_grid):
     return scipy.fft.rfftn(v_grid.transpose(3, 0, 1, 2), axes=(1, 2, 3), workers=_FFT_WORKERS)
 
 
-def _multiply(entry, xhat, out):
-    """out[i] = sum_j entry(i, j) xhat[j] over the 3 component planes,
-    summed in place through one plane."""
+def _multiply(planes, xhat, out):
+    """out[i] = sum_j S_ij xhat[j] over the 3 component planes, S the
+    symmetric symbol of six `planes`, summed in place through one plane."""
     plane = np.empty_like(xhat[0])
-    for i in range(3):
-        z = np.multiply(entry(i, 0), xhat[0], out=out[i])
-        z += np.multiply(entry(i, 1), xhat[1], out=plane)
-        z += np.multiply(entry(i, 2), xhat[2], out=plane)
-
-
-def _majority(symbol: GreenSymbol, xhat, out):
-    """out = A_m xhat in the spectrum, from the six planes of `symbol.ahat`."""
-    a = symbol.ahat
-    plane = ((0, 1, 2), (1, 3, 4), (2, 4, 5))  # of entry (i, j)
-    _multiply(lambda i, j: a[plane[i][j]], xhat, out)
+    for i, (p0, p1, p2) in enumerate(_PLANE):
+        z = np.multiply(planes[p0], xhat[0], out=out[i])
+        z += np.multiply(planes[p1], xhat[1], out=plane)
+        z += np.multiply(planes[p2], xhat[2], out=plane)
 
 
 def _inverse(symbol: GreenSymbol, xhat):
@@ -182,15 +182,14 @@ def apply_preconditioner(symbol: GreenSymbol, f_grid: np.ndarray, with_majority:
     products and one more inverse transform.
     """
     fhat = _forward(f_grid)
-    g = symbol.ghat
     zhat = np.empty_like(fhat)
-    _multiply(lambda i, j: g[..., i, j], fhat, zhat)
+    _multiply(symbol.gplanes, fhat, zhat)
     if not with_majority:
         # the inverse transform holds only zhat
         del fhat
         return _inverse(symbol, zhat)
     # A_m zhat into the planes of fhat, which is read no more
-    _majority(symbol, zhat, fhat)
+    _multiply(symbol.ahat, zhat, fhat)
     z = _inverse(symbol, zhat)
     del zhat
     return z, _inverse(symbol, fhat)
@@ -201,7 +200,7 @@ def apply_operator(symbol: GreenSymbol, u_grid: np.ndarray) -> np.ndarray:
     products with `symbol.ahat` and `irfftn`."""
     uhat = _forward(u_grid)
     out = np.empty_like(uhat)
-    _majority(symbol, uhat, out)
+    _multiply(symbol.ahat, uhat, out)
     del uhat
     return _inverse(symbol, out)
 

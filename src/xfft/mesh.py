@@ -31,7 +31,7 @@ class Grid:
             raise ValueError(f"voxel counts must be integers, got {self.n}")
         if any(k < 2 for k in self.n):
             raise ValueError(f"need at least 2 voxels per axis, got {self.n}")
-        if not all(0 < l < np.inf for l in self.lengths):
+        if not all(type(l) is not bool and 0 < l < np.inf for l in self.lengths):
             raise ValueError(f"cell lengths must be positive and finite, got {self.lengths}")
         object.__setattr__(self, "n", tuple(int(k) for k in self.n))
         object.__setattr__(self, "lengths", tuple(float(l) for l in self.lengths))

@@ -113,7 +113,7 @@ class SolverConfig:
     def __post_init__(self):
         if not isinstance(self.scheme, str) or self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not 0 < self.tol < np.inf:
+        if type(self.tol) is bool or not 0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
         if not isinstance(self.maxit, numbers.Integral) or type(self.maxit) is bool:
             raise ValueError("maxit must be an integer")

@@ -39,6 +39,12 @@ def test_grid_rejects_lengths_that_are_not_finite(length):
         Grid((4, 4, 4), (16.0, length, 16.0))
 
 
+def test_grid_rejects_boolean_lengths():
+    # a boolean count is rejected, and True used to pass as a length of 1
+    with pytest.raises(ValueError, match="finite"):
+        Grid((4, 4, 4), (16.0, True, 16.0))
+
+
 def test_grid_accepts_numpy_integer_counts():
     assert Grid((np.int64(4), np.int32(5), 6), LENGTHS).n == (4, 5, 6)
 

@@ -334,6 +334,12 @@ def test_config_rejects_maxit_that_is_not_an_integer(maxit):
         SolverConfig("lcg", 1e-7, maxit)
 
 
+def test_config_rejects_boolean_tol():
+    # maxit=True is rejected, and tol=True used to pass as a tolerance of 1
+    with pytest.raises(ValueError, match="tol"):
+        SolverConfig("lcg", True, 10)
+
+
 @pytest.mark.parametrize("scheme", ["lcg", "basic", "bb", "ncg"])
 def test_nonconverged_flagged(scheme):
     system, _ = hashin_system(8)

@@ -96,7 +96,7 @@ def child(n):
         "cache_bytes": system.caches.nbytes,
         "majority_phase": system.caches.majority,
         "swept_rows": len(system.caches.minority_dofs),
-        "green_symbol_bytes": system.symbol.ghat.nbytes,
+        "green_symbol_bytes": system.symbol.gplanes.nbytes,
         "majority_symbol_bytes": system.symbol.ahat.nbytes,
         "maxrss_build_mib": rss_build,
         "maxrss_solve_mib": rss_solve,
