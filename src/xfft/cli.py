@@ -22,6 +22,7 @@ resident memory after the build and after the solve.
 
 import argparse
 import ctypes
+import dataclasses
 import glob
 import json
 import math
@@ -467,12 +468,17 @@ def cmd_sweep(cfg: RunConfig, out_dir):
 _BUILTINS = ("homogeneous", "laminate", "hashin")
 
 
+def _overridden(solver, tol, scheme):
+    """`solver` with the --tol and --scheme given (not None) applied."""
+    given = {key: v for key, v in (("tol", tol), ("scheme", scheme)) if v is not None}
+    return _checked("--scheme/--tol", dataclasses.replace, solver, **given)
+
+
 def cmd_validate(name, tol_override=None, scheme="lcg"):
     """Run a built-in golden case against its closed-form reference."""
 
     def solver_config(tol, maxit):
-        tol = tol if tol_override is None else tol_override
-        return _checked("--scheme/--tol", SolverConfig, scheme=scheme, tol=tol, maxit=maxit)
+        return _overridden(SolverConfig(tol=tol, maxit=maxit), tol_override, scheme)
 
     if name == "homogeneous":
         assembly, materials, lengths = homogeneous_cell()
@@ -579,14 +585,7 @@ def main(argv=None):
             ok = cmd_validate(args.case, tol_override=args.tol, scheme=args.scheme)
             return EXIT_OK if ok else EXIT_VALIDATE_FAIL
         cfg = load_config(args.config)
-        if args.tol is not None or args.scheme is not None:
-            cfg.solver = _checked(
-                "--scheme/--tol",
-                SolverConfig,
-                scheme=args.scheme or cfg.solver.scheme,
-                tol=args.tol if args.tol is not None else cfg.solver.tol,
-                maxit=cfg.solver.maxit,
-            )
+        cfg.solver = _overridden(cfg.solver, args.tol, args.scheme)
         return args.run(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -42,8 +42,7 @@ import numpy as np
 import scipy.sparse
 
 from .mesh import CORNER_OFFSETS, DofLayout, ElementTopology, Grid, corner_nodes
-
-SQRT2 = np.sqrt(2.0)
+from .voigt import MANDEL_PAIRS, SQRT2
 
 # degree-2 symmetric 4-point simplex rule: equal weights V/4 at the four
 # permutations of barycentric (a, b, b, b)
@@ -98,13 +97,12 @@ def b_matrix(grads: np.ndarray) -> np.ndarray:
     g = np.asarray(grads, dtype=float)
     n = g.shape[-2]
     out = np.zeros(g.shape[:-2] + (6, n, 3))
-    gx, gy, gz = g[..., 0], g[..., 1], g[..., 2]
-    out[..., 0, :, 0] = gx
-    out[..., 1, :, 1] = gy
-    out[..., 2, :, 2] = gz
-    out[..., 3, :, 1] = out[..., 4, :, 0] = gz / SQRT2
-    out[..., 3, :, 2] = out[..., 5, :, 0] = gy / SQRT2
-    out[..., 4, :, 2] = out[..., 5, :, 1] = gx / SQRT2
+    for a, (i, j) in enumerate(MANDEL_PAIRS):
+        if i == j:
+            out[..., a, :, i] = g[..., i]
+        else:
+            out[..., a, :, i] = g[..., j] / SQRT2
+            out[..., a, :, j] = g[..., i] / SQRT2
     return out.reshape(g.shape[:-2] + (6, 3 * n))
 
 

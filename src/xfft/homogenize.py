@@ -15,7 +15,7 @@ from .element import evaluate_strain, tet_points
 from .mesh import Grid
 from .microstructure import PhaseAssembly, Plane, Region, Sphere
 from .solver import SolverConfig, System, build_system, run_scheme
-from .voigt import MaterialIso, iso_stiffness
+from .voigt import MANDEL_PAIRS, MaterialIso, iso_stiffness
 
 
 def rel_error(a: float, a_ref: float) -> float:
@@ -100,9 +100,6 @@ def hashin_reference(k_coat, mu_coat, k_incl, r_i, r_c) -> float:
     return k_coat + c * dk / (1.0 + (1.0 - c) * dk / (k_coat + 4.0 * mu_coat / 3.0))
 
 
-_LAMINATE_TRACTION_IDX = {0: (0, 4, 5), 1: (1, 3, 5), 2: (2, 3, 4)}
-
-
 def laminate_reference(stiffnesses, fractions, axis: int = 0) -> np.ndarray:
     """Exact effective stiffness of a layered composite normal to `axis`.
 
@@ -110,7 +107,8 @@ def laminate_reference(stiffnesses, fractions, axis: int = 0) -> np.ndarray:
     (arithmetic mixing with coupling correction) are combined blockwise in
     Mandel notation.
     """
-    idx_a = list(_LAMINATE_TRACTION_IDX[axis])
+    # the traction slots are the Mandel slots whose pair holds the normal axis
+    idx_a = [a for a, pair in enumerate(MANDEL_PAIRS) if axis in pair]
     idx_b = [i for i in range(6) if i not in idx_a]
     fractions = np.asarray(fractions, dtype=float)
     if abs(fractions.sum() - 1.0) > 1e-12:

@@ -20,9 +20,10 @@ build time into one block-sparse operator on the dofs they touch, so they
 add their forces with one sparse product on the flat dof vector.  The same
 sweep accumulates the volume-integrated stress, so each solver iteration
 costs one sweep plus one FFT preconditioner application.  lcg and ncg
-carry A_m d beside their search direction d: the preconditioner returns
-A_m z from the spectrum it already holds, and their sweep of d transforms
-nothing.
+take one step, `_Run.cg_step`, and differ only in its numerator and ncg's
+descent restart.  They carry A_m d beside their search direction d: the
+preconditioner returns A_m z from the spectrum it already holds, and the
+sweep of d transforms nothing.
 
 Sign convention: the residual is the gradient of the discrete energy,
 r(u) = sum_e L_e^T (A_e u_e + Bfac_e eps_bar), i.e. the internal force of
@@ -34,7 +35,9 @@ All schemes share the stopping criterion res_k <= tol * |<sigma(u_k)>|,
 where res_k is the preconditioned residual norm of the cell-averaged
 assembly, sqrt(r^T P^-1 r) / |Y|.  This normalization keeps the measure
 mesh-stable and consistent with the averaged stress on the right-hand
-side; `System.res_norm` itself returns the raw quadratic form.
+side; `System.res_norm` itself returns the raw quadratic form.  Every
+scheme forms f^T P^-1 f through `quadratic_form`, which raises on a form
+that is negative beyond rounding.
 
 Every scheme runs one loop contract through `_Run`: `run.stop` tests
 iterate k, records history row k and ends the loop at the criterion or at
@@ -134,6 +137,15 @@ class SolveResult:
     res_verified: float  # recomputed from scratch after the solve
     verified_within_tol: bool  # res_verified meets the stopping criterion
     wall_time: float
+
+
+def quadratic_form(f: DofVector, z: DofVector) -> float:
+    """f^T z for z = P^-1 f, which no positive definite P makes negative."""
+    val = f.dot(z)
+    # f.f only scales the rounding allowance of a negative form
+    if val < 0.0 and val < -1e-14 * max(f.dot(f), 1e-300):
+        raise RuntimeError("preconditioner produced a negative quadratic form")
+    return val
 
 
 class System:
@@ -283,11 +295,7 @@ class System:
         """Preconditioned residual norm sqrt(f^T P^-1 f)."""
         if z is None:
             z = self.precondition(f)
-        val = f.dot(z)
-        # f.f only scales the rounding allowance of a negative form
-        if val < 0.0 and val < -1e-14 * max(f.dot(f), 1e-300):
-            raise RuntimeError("preconditioner produced a negative quadratic form")
-        return float(np.sqrt(max(val, 0.0)))
+        return float(np.sqrt(max(quadratic_form(f, z), 0.0)))
 
     @property
     def step_size(self) -> float:
@@ -369,6 +377,37 @@ class _Run:
         res = self.system.res_norm(f, z[0] if with_majority else z)
         return f, sig_int / self.system.grid.volume, z, res
 
+    def cg_start(self, u: DofVector):
+        """(f, sigma, d, dm, res) at u: the first direction d = -P^-1 f and
+        dm = A_m d's grid part, carried so that the sweep of d transforms nothing."""
+        f, sigma, (z, zm), res = self.evaluate(u, with_majority=True)
+        return f, sigma, z.scaled(-1.0), -zm, res
+
+    def cg_step(self, u, f, sigma, d, dm, res, num):
+        """One CG step along d: alpha = num / d^T A d from one sweep with the
+        carried dm, u, f and sigma by linearity, then d and dm conjugated in
+        place with beta = f^T z / res^2, z = P^-1 f.  Returns (sigma, res, z,
+        A_m z); the caller drops z and A_m z before the next sweep."""
+        w, dsig_int = self.system._sweep(d, ZERO6, dm)
+        dw = d.dot(w)
+        if dw <= 0.0:
+            raise RuntimeError(
+                f"conjugate gradients lost positive definiteness (d^T A d = {dw:g})"
+            )
+        alpha = num / dw
+        u.axpy(alpha, d)
+        f.axpy(alpha, w)
+        del w  # dropped before the preconditioner's temporaries
+        sigma = sigma + (alpha / self.system.grid.volume) * dsig_int
+        z, zm = self.system.precondition(f, with_majority=True)
+        fz = quadratic_form(f, z)
+        beta = fz / res**2
+        d.data *= beta
+        d.data -= z.data
+        dm *= beta
+        dm -= zm
+        return sigma, float(np.sqrt(max(fz, 0.0))), z, zm
+
     def _measure(self, res_raw, sigma):
         """(res, res / |<sigma>|, whether res meets the stopping criterion)."""
         res = res_raw * self.inv_vol
@@ -409,37 +448,14 @@ def run_lcg(system: System, config: SolverConfig, eps_bar) -> SolveResult:
     run = _Run(system, config, eps_bar)
     vol = system.grid.volume
     u = system.zeros()
-    f, sigma, (z, zm), res = run.evaluate(u, with_majority=True)
+    f, sigma, d, dm, res = run.cg_start(u)
     # u.b for the load b = r(0) follows from the stress: vol eps_bar.(<sigma> - <C> eps_bar)
     sigma0 = system.caches.total_cv @ run.eps_bar / vol
-    # d and dm = A_m d, carried by linearity, so that the sweep of d needs no transform
-    d, dm = z.scaled(-1.0), -zm
-    del z, zm
     while True:
         run.energies.append(0.5 * (u.dot(f) + vol * (run.eps_bar @ (sigma - sigma0))))
         if run.stop(res, sigma):
             return run.finish(u, sigma, res)
-        w, dsig_int = system._sweep(d, ZERO6, dm)
-        dw = d.dot(w)
-        if dw <= 0.0:
-            raise RuntimeError(
-                f"conjugate gradients lost positive definiteness (d^T A d = {dw:g})"
-            )
-        alpha = res**2 / dw
-        u.axpy(alpha, d)
-        f.axpy(alpha, w)
-        # dropped before the next sweep forms its own
-        del w
-        sigma = sigma + (alpha / vol) * dsig_int
-        z, zm = system.precondition(f, with_majority=True)
-        res_sq_new = f.dot(z)
-        beta = res_sq_new / res**2
-        d.data *= beta
-        d.data -= z.data
-        dm *= beta
-        dm -= zm
-        del z, zm
-        res = float(np.sqrt(max(res_sq_new, 0.0)))
+        sigma, res = run.cg_step(u, f, sigma, d, dm, res, res**2)[:2]
 
 
 def run_basic(system: System, config: SolverConfig, eps_bar) -> SolveResult:
@@ -484,41 +500,19 @@ def run_ncg(system: System, config: SolverConfig, eps_bar):
     """Preconditioned Fletcher-Reeves nonlinear conjugate gradients.
 
     Each step minimizes the energy along the search direction d exactly.
-    The energy is quadratic, so one sweep w = A d gives the step
-    alpha = -f.d / d.w, and the residual and average stress follow by
-    linearity, as in `run_lcg`.  The direction update uses the
-    Fletcher-Reeves beta and restarts on loss of descent.  With the exact
-    line search the iterates coincide with linear CG in exact arithmetic
-    (Schneider, IJNME 2020).
+    The energy is quadratic, so the step is -f.d / d^T A d, and `cg_step`
+    takes it as in `run_lcg`.  The direction restarts on loss of descent.
+    With the exact line search the iterates coincide with linear CG in
+    exact arithmetic (Schneider, IJNME 2020).
     """
     run = _Run(system, config, eps_bar)
-    vol = system.grid.volume
     u = system.zeros()
-    f, sigma, (z, zm), res = run.evaluate(u, with_majority=True)
-    # d and dm = A_m d, as in `run_lcg`
-    d, dm = z.scaled(-1.0), -zm
-    del z, zm
+    f, sigma, d, dm, res = run.cg_start(u)
     while not run.stop(res, sigma):
-        w, dsig_int = system._sweep(d, ZERO6, dm)
-        dw = d.dot(w)
-        if dw <= 0.0:
-            raise RuntimeError("non-positive curvature in line search")
-        alpha = -f.dot(d) / dw
-        u.axpy(alpha, d)
-        f.axpy(alpha, w)
-        del w
-        sigma = sigma + (alpha / vol) * dsig_int
-        z, zm = system.precondition(f, with_majority=True)
-        res_new = system.res_norm(f, z)
-        beta = res_new**2 / res**2
-        d.data *= beta
-        d.data -= z.data
-        dm *= beta
-        dm -= zm
+        sigma, res, z, zm = run.cg_step(u, f, sigma, d, dm, res, -f.dot(d))
         if f.dot(d) >= 0.0:
             d, dm = z.scaled(-1.0), -zm
         del z, zm
-        res = res_new
     return run.finish(u, sigma, res)
 
 

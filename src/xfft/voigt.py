@@ -24,12 +24,8 @@ def tensor_to_mandel(t):
     """(..., 3, 3) symmetric tensor -> (..., 6) Mandel vector."""
     t = np.asarray(t, dtype=float)
     v = np.empty(t.shape[:-2] + (6,))
-    v[..., 0] = t[..., 0, 0]
-    v[..., 1] = t[..., 1, 1]
-    v[..., 2] = t[..., 2, 2]
-    v[..., 3] = SQRT2 * t[..., 1, 2]
-    v[..., 4] = SQRT2 * t[..., 0, 2]
-    v[..., 5] = SQRT2 * t[..., 0, 1]
+    for a, (i, j) in enumerate(MANDEL_PAIRS):
+        v[..., a] = t[..., i, j] if i == j else SQRT2 * t[..., i, j]
     return v
 
 
@@ -37,12 +33,8 @@ def mandel_to_tensor(v):
     """(..., 6) Mandel vector -> (..., 3, 3) symmetric tensor."""
     v = np.asarray(v, dtype=float)
     t = np.empty(v.shape[:-1] + (3, 3))
-    t[..., 0, 0] = v[..., 0]
-    t[..., 1, 1] = v[..., 1]
-    t[..., 2, 2] = v[..., 2]
-    t[..., 1, 2] = t[..., 2, 1] = v[..., 3] / SQRT2
-    t[..., 0, 2] = t[..., 2, 0] = v[..., 4] / SQRT2
-    t[..., 0, 1] = t[..., 1, 0] = v[..., 5] / SQRT2
+    for a, (i, j) in enumerate(MANDEL_PAIRS):
+        t[..., i, j] = t[..., j, i] = v[..., a] if i == j else v[..., a] / SQRT2
     return t
 
 

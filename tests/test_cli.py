@@ -278,6 +278,31 @@ def test_cli_solve_with_field_dump(tmp_path):
     assert np.allclose(back, 0.0)  # homogeneous cell: zero fluctuation
 
 
+def test_cli_vtk_export_matches_field_dump(tmp_path):
+    # a nonzero field on a non-cubic grid: the header names its dimensions,
+    # spacing and point count, and the vectors are the .f64 dump's in x-fastest order
+    cfg = minimal_config(
+        grid={"n": [4, 5, 6], "lengths": [16.0, 15.0, 18.0]},
+        phases=[{"name": "m", "young": 1.5, "poisson": 0.25},
+                {"name": "s", "young": 6.0, "poisson": 0.3}],
+        geometry=[{"type": "sphere", "center": [7.0, 8.0, 9.5], "radius": 4.1,
+                   "inside": "s", "outside": "m"}],
+        loading=[0.3, -0.2, 0.5, 0.1, 0.0, 0.2],
+        outputs={"fields": True},
+    )
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == EXIT_OK
+    u = read_field(str(tmp_path / "displacement"))
+    assert u.shape == (4, 5, 6, 3) and np.abs(u).max() > 1e-3
+    lines = (tmp_path / "displacement.vtk").read_text().splitlines()
+    assert lines[4] == "DIMENSIONS 4 5 6"
+    assert [float(v) for v in lines[6].split()[1:]] == [4.0, 3.0, 3.0]
+    assert lines[7] == "POINT_DATA 120"
+    vectors = np.array([[float(v) for v in line.split()] for line in lines[9:]])
+    assert np.array_equal(vectors, u.transpose(2, 1, 0, 3).reshape(-1, 3))
+
+
 def test_cli_sweep_requires_ns_and_writes_study(tmp_path):
     cfg = minimal_config()
     p = tmp_path / "cfg.json"
@@ -326,6 +351,20 @@ def test_cli_validate_rejects_unknown_scheme(capsys):
     err = capsys.readouterr()
     assert "config error" in err.err and "unknown scheme" in err.err
     assert "PASS" not in err.out
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_cli_rejects_empty_scheme_flag(tmp_path, capsys, command):
+    # an empty --scheme names no scheme: it is rejected, not read as "no override"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(minimal_config()))
+    out = tmp_path / "out"
+    argv = {"validate": ["validate", "homogeneous"],
+            "solve": ["solve", "--config", str(p), "--out", str(out)]}[command]
+    assert main(argv + ["--scheme", ""]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr()
+    assert "--scheme/--tol: unknown scheme ''" in err.err and "PASS" not in err.out
+    assert not out.exists()
 
 
 def test_cli_validate_homogeneous_and_laminate():

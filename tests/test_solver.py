@@ -706,3 +706,26 @@ def test_homogeneous_cell_has_no_sweep_rows_and_rests_at_exactly_zero(homog_n4):
     assert len(c.minority_dofs) == 0 and len(c.special_dofs) == 0
     r = homog_n4.residual(homog_n4.zeros(), EPS_HYDRO)
     assert not r.data.any()
+
+
+@pytest.mark.parametrize("scheme", ["lcg", "ncg"])
+def test_cg_schemes_reject_a_negative_preconditioned_form(monkeypatch, scheme):
+    # a preconditioner whose second output is negated gives f^T P^-1 f < 0 in
+    # the first CG step; clamped to 0, it would read as a converged solve
+    precondition = System.precondition
+    calls = []
+
+    def negated_second(self, f, with_majority=False):
+        calls.append(1)
+        out = precondition(self, f, with_majority)
+        if len(calls) != 2:
+            return out
+        if with_majority:
+            return out[0].scaled(-1.0), -out[1]
+        return out.scaled(-1.0)
+
+    system, _ = hashin_system(8)
+    monkeypatch.setattr(System, "precondition", negated_second)
+    with pytest.raises(RuntimeError, match="negative quadratic form"):
+        run_scheme(system, SolverConfig(scheme, 1e-7, 100), EPS_HYDRO)
+    assert len(calls) == 2

@@ -7,10 +7,13 @@ Runs one child process per N, one after another, for N = 16, 32 and 64
 numpy's huge-page madvise off (`NUMPY_MADVISE_HUGEPAGE=0`; with it on, the
 memory-bound sweep's time is bimodal by about 20% either way).  A
 child builds the hashin cell (`homogenize.hashin_system`), solves the
-hydrostatic load case with lcg at tol 1e-7, and then times 10 `_sweep`
-calls and 10 `precondition` calls at the solution.  The output holds per
-N: build and solve seconds, the iteration count, the median sweep and
-preconditioner milliseconds, `ElementCaches.nbytes`, the majority phase
+hydrostatic load case with lcg at tol 1e-7, and then times 10 of each
+call that one CG iteration makes, with f the residual at the solution and
+z = P^-1 f: the unloaded sweep `_sweep(z, ZERO6, A_m z)`, which carries
+A_m z and transforms nothing, and `precondition(f, with_majority=True)`,
+which returns A_m z beside z.  The output holds per N: build and solve
+seconds, the iteration count, the median sweep and preconditioner
+milliseconds, `ElementCaches.nbytes`, the majority phase
 (applied by FFT), the regular voxel rows the sweep still gathers (those of
 the other phases), the bytes of the Green symbol and of the majority
 phase's symbol, the peak RSS (MiB, `ru_maxrss`) after the build and after
@@ -70,7 +73,7 @@ def child(n):
     from xfft import greenop
     from xfft.cli import openblas_threads, set_openblas_threads
     from xfft.homogenize import bulk_modulus_hydrostatic, hashin_system
-    from xfft.solver import SolverConfig
+    from xfft.solver import ZERO6, SolverConfig
 
     set_openblas_threads(1)
     greenop.set_fft_workers(1)
@@ -83,6 +86,7 @@ def child(n):
     rss_solve = maxrss_mib()
     eps = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     f = system._sweep(res.u, eps)[0]
+    z, zm = system.precondition(f, with_majority=True)
     return {
         "n": n,
         "n_dofs": system.layout.n_dofs,
@@ -91,8 +95,8 @@ def child(n):
         "solve_s": t2 - t1,
         "iterations": res.iterations,
         "converged": res.converged,
-        "sweep_ms": median_ms(lambda: system._sweep(res.u, eps)),
-        "precondition_ms": median_ms(lambda: system.precondition(f)),
+        "sweep_ms": median_ms(lambda: system._sweep(z, ZERO6, zm)),
+        "precondition_ms": median_ms(lambda: system.precondition(f, with_majority=True)),
         "cache_bytes": system.caches.nbytes,
         "majority_phase": system.caches.majority,
         "swept_rows": len(system.caches.minority_dofs),
